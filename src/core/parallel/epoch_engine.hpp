@@ -13,9 +13,10 @@
 //  * shard *scheduling* is dynamic (ticket counter, load-balanced) and
 //    therefore nondeterministic, but every result lands in its own output
 //    slot, untouched by other workers;
-//  * the caller (core/system.cpp) merges reports and trust-evidence deltas
-//    in ascending input-slot order, so every floating-point accumulation
-//    happens in exactly the order of the serial loop.
+//  * the caller (core/system.cpp) merges reports in ascending input-slot
+//    order and reduces the trust evidence into a rater-sorted run whose
+//    per-rater sums run in ascending term order, so every floating-point
+//    accumulation happens in an order fixed by the data, not the workers.
 // Consequence: parallel output is bitwise-identical to the serial path at
 // any worker count (covered by tests/parallel_test.cpp).
 #pragma once

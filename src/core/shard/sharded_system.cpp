@@ -28,6 +28,14 @@ constexpr std::size_t kWaitSpinLimit = 64;
 /// refill): one index handoff per span instead of per event.
 constexpr std::size_t kDrainBatch = 32;
 
+/// Folded runs a shard keeps for reuse. Two suffice for a shard one cell
+/// ahead of the merger; the slack covers a merger that briefly lags.
+constexpr std::size_t kSpareRuns = 4;
+
+double seconds_since(std::uint64_t t0_ns) {
+  return static_cast<double>(obs::monotonic_ns() - t0_ns) * 1e-9;
+}
+
 std::string describe_exception(std::exception_ptr error) {
   if (!error) return "unknown error";
   try {
@@ -47,6 +55,7 @@ ShardedRatingSystem::Shard::Shard(const SystemConfig& config,
     : filter(config.filter),
       detector(config.ar),
       engine(std::make_unique<parallel::EpochEngine>(workers)),
+      spare_runs(kSpareRuns),
       inbox(queue_capacity),
       outbox(queue_capacity) {}
 
@@ -169,10 +178,7 @@ void ShardedRatingSystem::route(const Rating& rating) {
 
   const std::size_t k = shard_index(rating.product);
   Shard& shard = *shards_[k];
-  if (shard.routed_metric != nullptr) {
-    shard.routed_metric->add();
-    shard.routed_labeled_->add();
-  }
+  if (shard.routed_metric != nullptr) shard.routed_metric->add();
   if (threads_running_) {
     ShardEvent e;
     e.type = ShardEvent::Type::kRating;
@@ -251,12 +257,12 @@ ShardedRatingSystem::ShardResult ShardedRatingSystem::analyze_cell(
     // still happens globally; only this shard's participation is skipped.
     ++shard.skipped_cells;
     shard.skipped_cells_pub.fetch_add(1, std::memory_order_relaxed);
-    if (shard.skipped_metric != nullptr) {
-      shard.skipped_metric->add();
-      shard.skipped_labeled_->add();
-    }
+    if (shard.skipped_metric != nullptr) shard.skipped_metric->add();
     return result;
   }
+
+  const std::uint64_t t0 =
+      shard.analyze_seconds != nullptr ? obs::monotonic_ns() : 0;
 
   result.observations.reserve(shard.pending.size());
   for (auto& [product, series] : shard.pending) {
@@ -287,11 +293,18 @@ ShardedRatingSystem::ShardResult ShardedRatingSystem::analyze_cell(
     const parallel::StageContext ctx{&config_, &shard.filter, &shard.detector,
                                      &obs_};
     result.reports = shard.engine->analyze(result.observations, ctx);
+    // Procedure 2's per-rater reduction, off the merge thread, into a run
+    // the merger handed back when there is one (it keeps its capacity).
+    if (!shard.spare_runs.try_pop(result.run)) {
+      result.run = std::make_unique<EvidenceRun>();
+    }
+    shard.reducer.reduce(config_, result.observations, result.reports,
+                         *result.run);
   }
-  if (shard.cells_metric != nullptr) {
-    shard.cells_metric->add();
-    shard.cells_labeled_->add();
+  if (shard.analyze_seconds != nullptr) {
+    shard.analyze_seconds->observe(seconds_since(t0));
   }
+  if (shard.cells_metric != nullptr) shard.cells_metric->add();
 
   // Retention is shard-local state; the observations themselves travel to
   // the merger, so the retained window keeps a copy.
@@ -306,6 +319,8 @@ ShardedRatingSystem::ShardResult ShardedRatingSystem::analyze_cell(
 }
 
 void ShardedRatingSystem::merge_cell(std::vector<ShardResult> results) {
+  const std::uint64_t t0 =
+      merge_cell_seconds_ != nullptr ? obs::monotonic_ns() : 0;
   const double cell_start = results.front().epoch_start;
   const double cell_end = results.front().epoch_end;
 
@@ -330,17 +345,21 @@ void ShardedRatingSystem::merge_cell(std::vector<ShardResult> results) {
 
   std::vector<ProductObservation> observations;
   std::vector<ProductReport> reports;
+  cell_runs_.clear();
   for (ShardResult& r : results) {
     observations.insert(observations.end(),
                         std::make_move_iterator(r.observations.begin()),
                         std::make_move_iterator(r.observations.end()));
     reports.insert(reports.end(), std::make_move_iterator(r.reports.begin()),
                    std::make_move_iterator(r.reports.end()));
+    // The fold takes the runs side by side; moving a run moves only its
+    // vectors' buffers, which go back into the box below.
+    if (r.run) cell_runs_.push_back(std::move(*r.run));
   }
 
-  // Canonical product order: each shard slice is sorted and the slices are
-  // disjoint, so sorting the concatenation recreates exactly the product
-  // order the unsharded close would have fed process_epoch.
+  // Canonical product order for the report and the audit log: each shard
+  // slice is sorted and the slices are disjoint, so sorting the
+  // concatenation recreates exactly the unsharded close's product order.
   std::vector<std::size_t> order(observations.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -358,7 +377,7 @@ void ShardedRatingSystem::merge_cell(std::vector<ShardResult> results) {
   EpochHealth health = EpochHealth::kHealthy;
   if (!sorted_obs.empty()) {
     const EpochReport report =
-        merge_.merge_epoch(sorted_obs, std::move(sorted_reports));
+        merge_.merge_epoch(sorted_obs, std::move(sorted_reports), cell_runs_);
     if (report.detector_degraded) health = EpochHealth::kDegradedDetector;
     last_close_products_ = sorted_obs.size();
     if (epoch_observer_) epoch_observer_(report, cell_start, cell_end);
@@ -366,6 +385,11 @@ void ShardedRatingSystem::merge_cell(std::vector<ShardResult> results) {
     // Unreachable through the coordinator (it only closes when something
     // is pending), kept for defensive parity with the unsharded close.
     last_close_products_ = 0;
+  }
+  for (std::size_t k = 0, i = 0; k < results.size(); ++k) {
+    if (!results[k].run) continue;
+    *results[k].run = std::move(cell_runs_[i++]);
+    shards_[k]->spare_runs.try_push(std::move(results[k].run));
   }
   ++epochs_closed_;
   epoch_health_.push_back(health);
@@ -381,6 +405,9 @@ void ShardedRatingSystem::merge_cell(std::vector<ShardResult> results) {
       e.detail = "AR detector contributed nothing; beta-filter-only path";
       obs_.audit->record(e);
     }
+  }
+  if (merge_cell_seconds_ != nullptr) {
+    merge_cell_seconds_->observe(seconds_since(t0));
   }
   // Publishes every merge-thread write above to quiescing readers.
   cells_merged_.fetch_add(1, std::memory_order_release);
@@ -711,9 +738,12 @@ void ShardedRatingSystem::fail_pipeline(ShardFailureKind kind,
   }
   if (!first) return;
   // Latch BEFORE closing: a waiter released by a closed ring must already
-  // see the failure when it asks.
+  // see the failure when it asks. Every shard is told to abort, not only
+  // the one named: a worker wedged in a stall the watchdog did not blame
+  // must still let the joins in stop_threads() finish.
   pipeline_failed_.store(true, std::memory_order_release);
   for (auto& s : shards_) {
+    s->abort_requested.store(true, std::memory_order_release);
     s->inbox.close();
     s->outbox.close();
   }
@@ -768,7 +798,6 @@ void ShardedRatingSystem::supervised_tick() const {
       const std::uint64_t age =
           shard.stall_age.fetch_add(1, std::memory_order_relaxed) + 1;
       if (age >= budget) {
-        shard.abort_requested.store(true, std::memory_order_release);
         const_cast<ShardedRatingSystem*>(this)->fail_pipeline(
             ShardFailureKind::kStalled, k,
             "no progress for " + std::to_string(age) + " supervision ticks",
@@ -908,40 +937,28 @@ void ShardedRatingSystem::set_observability(const obs::Observability& o) {
     shard.filter.set_observability(o);
     shard.detector.set_observability(o);
     if (o.metrics != nullptr) {
-      // Naming-drift fix (ISSUE 10 satellite): the shard dimension moves
-      // out of the metric name and into a label —
-      // trustrate_shard_routed_total{shard="k"} is the conforming family.
-      // The old flat names (trustrate_shardK_*) stay emitted for one
-      // release behind the trustrate_deprecated_metric_names gauge.
-      const std::string prefix = "trustrate_shard" + std::to_string(k);
+      // The shard dimension is a label: one family per metric, any count.
       const std::string label = "{shard=\"" + std::to_string(k) + "\"}";
       shard.analyze_span_name = "shard" + std::to_string(k) + ".analyze";
-      shard.routed_metric = &o.metrics->counter(
-          prefix + "_routed_total",
-          "DEPRECATED flat name; use trustrate_shard_routed_total");
-      shard.cells_metric = &o.metrics->counter(
-          prefix + "_cells_total",
-          "DEPRECATED flat name; use trustrate_shard_cells_total");
-      shard.skipped_metric = &o.metrics->counter(
-          prefix + "_skipped_cells_total",
-          "DEPRECATED flat name; use trustrate_shard_skipped_cells_total");
-      shard.routed_labeled_ =
+      shard.routed_metric =
           &o.metrics->counter("trustrate_shard_routed_total" + label,
                               "Ratings routed to this shard");
-      shard.cells_labeled_ =
+      shard.cells_metric =
           &o.metrics->counter("trustrate_shard_cells_total" + label,
                               "Epoch cells this shard analyzed");
-      shard.skipped_labeled_ = &o.metrics->counter(
+      shard.skipped_metric = &o.metrics->counter(
           "trustrate_shard_skipped_cells_total" + label,
           "Epoch cells closed with no pending data on this shard");
+      shard.analyze_seconds = &o.metrics->histogram(
+          "trustrate_shard_analyze_seconds" + label,
+          obs::default_seconds_buckets(),
+          "Per-cell analysis plus evidence reduction on this shard");
     } else {
       shard.analyze_span_name.clear();
       shard.routed_metric = nullptr;
       shard.cells_metric = nullptr;
       shard.skipped_metric = nullptr;
-      shard.routed_labeled_ = nullptr;
-      shard.cells_labeled_ = nullptr;
-      shard.skipped_labeled_ = nullptr;
+      shard.analyze_seconds = nullptr;
     }
   }
   if (o.metrics != nullptr) {
@@ -982,14 +999,9 @@ void ShardedRatingSystem::set_observability(const obs::Observability& o) {
     buffered_gauge_ = &m.gauge(
         "trustrate_buffered_ratings",
         "Accepted ratings still held by the reordering buffer");
-    // Deprecation gate (ISSUE 10 satellite): counts the old flat-name
-    // series (trustrate_shardK_{routed,cells,skipped_cells}_total) still
-    // emitted alongside their labeled replacements. Dashboards alert on
-    // this being nonzero; the flat names disappear next release.
-    m.gauge("trustrate_deprecated_metric_names",
-            "Metric series emitted under deprecated names (removed next "
-            "release)")
-        .set(static_cast<double>(shards_.size() * 3));
+    merge_cell_seconds_ = &m.histogram(
+        "trustrate_merge_cell_seconds", obs::default_seconds_buckets(),
+        "Per-cell fold of the shard results into Procedure 2 (merge thread)");
     update_gauges();
   } else {
     ingest_submitted_ = nullptr;
@@ -1006,6 +1018,7 @@ void ShardedRatingSystem::set_observability(const obs::Observability& o) {
     buffered_gauge_ = nullptr;
     shard_poisoned_metric_ = nullptr;
     shard_stalled_metric_ = nullptr;
+    merge_cell_seconds_ = nullptr;
   }
 }
 
@@ -1085,12 +1098,13 @@ obs::PipelineProbe ShardedRatingSystem::probe() const noexcept {
     s.quarantine_size = shard.quarantine_size.load(std::memory_order_relaxed);
     s.skipped_cells = shard.skipped_cells_pub.load(std::memory_order_relaxed);
     // Watchdog verdict (DESIGN.md §15 taxonomy): poisoned beats stalled
-    // beats slow; "slow" is a positive stall age still under budget.
+    // beats slow; "slow" is a positive stall age still under budget. Only
+    // the shard the failure names is stalled — every shard's abort flag
+    // goes up when a failure latches, so the flag alone says nothing.
     if (s.poisoned) {
       s.health = obs::ShardHealth::kPoisoned;
-    } else if (s.abort_requested ||
-               (p.failed && p.failure_kind == "stalled" &&
-                p.failure_shard == k)) {
+    } else if (p.failed && p.failure_kind == "stalled" &&
+               p.failure_shard == k) {
       s.health = obs::ShardHealth::kStalled;
     } else if (s.stall_age > 0) {
       s.health = obs::ShardHealth::kSlow;

@@ -18,19 +18,26 @@
 //    O(1) only when *no* shard holds pending data (a gap on one shard
 //    never fast-forwards the others; shards merely record a skipped cell);
 //  * rater-level trust: C(i) and trust records span shards, so one merge
-//    authority (a TrustEnhancedRatingSystem) folds the per-shard analyses
+//    authority (a TrustEnhancedRatingSystem) folds the per-shard evidence
 //    into Procedure 2.
+//
+// Procedure 2's per-rater reduction runs on the shards: after analyzing
+// its slice of a cell, a shard reduces it into an EvidenceRun (n/f/s per
+// rater plus that rater's C(i) terms, ascending; flat vectors sorted by
+// rater). The merger k-way folds the shards' runs and applies the trust
+// updates in rater order.
 //
 // Determinism argument (the oracle's path 9 asserts it bitwise): per-
 // product analysis is a pure function of (observation, config) — the same
 // property that makes the epoch engine worker-count-invariant — so *which*
-// shard analyzes a product cannot change its report. At each epoch close
-// the shards' report slices are concatenated and sorted by product ID,
-// recreating exactly the canonical product order of the unsharded close,
-// and TrustEnhancedRatingSystem::merge_epoch runs the same stage-2 merge
-// (integer counts in slot order, per-rater suspicion terms sorted before
-// summing — the PR 3 discipline). Digests are therefore bitwise identical
-// at ANY shard count, any worker count, and any placement function.
+// shard analyzes a product cannot change its report. Runs carry sorted
+// terms and the fold merges sorted lists, so each rater's C(i) is summed
+// in the canonical ascending order (DESIGN.md §9) whichever shard
+// contributed which term; the counts are integers. The reports are
+// concatenated and sorted by product ID, recreating the unsharded close's
+// product order for the epoch report and the audit log. Digests are
+// therefore bitwise identical at ANY shard count, any worker count, and
+// any placement function.
 //
 // Execution modes:
 //
@@ -40,10 +47,10 @@
 //  * threaded: the submit() caller classifies and routes events into one
 //    bounded lock-free SPSC queue per shard (core/shard/spsc_queue.hpp;
 //    a full ring blocks the producer — bounded memory backpressure);
-//    shard workers buffer ratings and analyze their slice at each close;
-//    a merge thread combines one result per shard per cell, in cell
-//    order, and applies the canonical merge. Pipeline parallelism: shard
-//    k can analyze cell c while the merger folds cell c−1.
+//    shard workers buffer ratings, then analyze and reduce their slice at
+//    each close; a merge thread folds one result per shard per cell, in
+//    cell order. Pipeline parallelism: shard k can analyze cell c while
+//    the merger folds cell c−1.
 //
 // Threading contract: one thread calls submit()/flush(). Query methods
 // (trust, aggregate, stats, health) quiesce first — they wait until every
@@ -124,9 +131,10 @@ struct SupervisionOptions {
 };
 
 /// Context handed to ShardOptions::event_hook before a shard worker
-/// processes each event. `abort` is set by the watchdog once the shard is
-/// classified as stalled — a cooperative injected stall polls it so
-/// shutdown provably terminates.
+/// processes each event. `abort` is raised on every shard once the
+/// pipeline latches a failure (a stall on any shard, or a poisoned
+/// worker) — a cooperative injected stall polls it so shutdown provably
+/// terminates, whichever shard the failure named.
 struct ShardEventContext {
   std::size_t shard = 0;       ///< worker's shard index
   std::uint64_t ordinal = 0;   ///< events this shard processed so far
@@ -223,9 +231,10 @@ class ShardedRatingSystem {
   /// mode). Call before submitting; not checkpoint state.
   void set_epoch_observer(EpochCloseObserver observer);
 
-  /// Attaches metrics/trace/audit. Global ingest + epoch instruments plus
-  /// per-shard routed/cells/skipped counters and per-shard analyze spans.
-  /// Out-of-band; call before submitting, never mid-stream.
+  /// Attaches metrics/trace/audit. Global ingest + epoch instruments, the
+  /// merge_cell histogram, per-shard routed/cells/skipped counters and
+  /// per-shard analyze spans + histograms. Out-of-band; call before
+  /// submitting, never mid-stream.
   void set_observability(const obs::Observability& o);
 
   /// The merge authority: global trust state, epoch counter, aggregation.
@@ -322,6 +331,10 @@ class ShardedRatingSystem {
     double epoch_end = 0.0;
     std::vector<ProductObservation> observations;  ///< sorted by product
     std::vector<ProductReport> reports;            ///< aligned with above
+    /// Procedure-2 evidence of `reports`, reduced (null for a skipped
+    /// cell). Boxed so the outbox's slots — one ShardResult per ring
+    /// entry, built when the ring is — stay small.
+    std::unique_ptr<EvidenceRun> run;
     /// Causal ID range of the ratings this cell analyzed on this shard
     /// (0,0 when the cell saw none) — carried so merge spans can report
     /// the whole cell's range.
@@ -335,6 +348,11 @@ class ShardedRatingSystem {
     detect::BetaQuantileFilter filter;
     detect::ArSuspicionDetector detector;
     std::unique_ptr<parallel::EpochEngine> engine;
+    EvidenceReducer reducer;  ///< owner-thread scratch
+    /// Folded runs handed back by the merger (its producer) for the owner
+    /// thread to reduce into again, so warm cells allocate no run memory.
+    /// Never closed: both sides only try, and a full ring drops the run.
+    SpscQueue<std::unique_ptr<EvidenceRun>> spare_runs;
 
     std::unordered_map<ProductId, RatingSeries> pending;
     struct Retained {
@@ -368,7 +386,7 @@ class ShardedRatingSystem {
     // STARTS an event and events_processed when it finishes, so the
     // watchdog's diagnostic can tell "between events" from "mid-event".
     std::atomic<std::uint64_t> heartbeat{0};
-    std::atomic<bool> abort_requested{false};  ///< set when classified stalled
+    std::atomic<bool> abort_requested{false};  ///< set when a failure latches
     std::atomic<bool> poisoned{false};
     std::exception_ptr worker_error;  ///< written before poisoned (release)
 
@@ -381,18 +399,14 @@ class ShardedRatingSystem {
     std::atomic<std::uint64_t> stall_age{0};  ///< consecutive no-progress ticks
     std::vector<ShardEvent> staged;     ///< coordinator batch for try_push_n
 
-    // Observability (resolved in set_observability; null when off). Each
-    // per-shard counter has two series for one release: the labeled
-    // family ("trustrate_shard_routed_total{shard=\"k\"}", the
-    // convention-conforming form) and the deprecated flat name
-    // ("trustrate_shardK_routed_total") — see the deprecation gauge.
+    // Observability (resolved in set_observability; null when off): the
+    // labeled series of each family, e.g.
+    // trustrate_shard_routed_total{shard="k"}.
     std::string analyze_span_name;  ///< stable storage for SpanTimer
     obs::Counter* routed_metric = nullptr;
     obs::Counter* cells_metric = nullptr;
     obs::Counter* skipped_metric = nullptr;
-    obs::Counter* routed_labeled_ = nullptr;
-    obs::Counter* cells_labeled_ = nullptr;
-    obs::Counter* skipped_labeled_ = nullptr;
+    obs::Histogram* analyze_seconds = nullptr;  ///< analyze + reduce per cell
 
     Shard(const SystemConfig& config, std::size_t workers,
           std::size_t queue_capacity);
@@ -404,12 +418,15 @@ class ShardedRatingSystem {
   /// Issues the close of the cell ending at `epoch_end` (inline: runs it;
   /// threaded: enqueues kClose on every shard).
   void issue_close(double epoch_end);
-  /// Analyzes one shard's pending slice for a cell; updates retained and
-  /// skipped-cell accounting. Runs on the shard's owner thread.
+  /// Analyzes one shard's pending slice for a cell and reduces it into the
+  /// result's evidence run; updates retained and skipped-cell accounting.
+  /// Runs on the shard's owner thread.
   ShardResult analyze_cell(Shard& shard, std::uint64_t cell,
                            double epoch_start, double epoch_end);
-  /// Concatenate-sort-merge one cell's shard results; fires the observer.
-  /// Runs on the merge thread (threaded) or the caller (inline).
+  /// Folds one cell's shard results (results[k] from shard k): reports
+  /// in product order, evidence runs k-way by rater; fires the observer and
+  /// hands the runs back to their shards. Runs on the merge thread
+  /// (threaded) or the caller (inline).
   void merge_cell(std::vector<ShardResult> results);
   void shard_worker(std::size_t k);
   void merge_worker();
@@ -471,6 +488,8 @@ class ShardedRatingSystem {
   std::size_t last_close_products_ = 0;
   EpochCloseObserver epoch_observer_;
 
+  std::vector<EvidenceRun> cell_runs_;  ///< merge_cell scratch
+
   std::uint64_t cells_issued_ = 0;  ///< coordinator-owned
   std::atomic<std::uint64_t> cells_merged_{0};
   std::thread merge_thread_;
@@ -527,6 +546,7 @@ class ShardedRatingSystem {
   obs::Gauge* buffered_gauge_ = nullptr;
   obs::Counter* shard_poisoned_metric_ = nullptr;
   obs::Counter* shard_stalled_metric_ = nullptr;
+  obs::Histogram* merge_cell_seconds_ = nullptr;
 };
 
 }  // namespace trustrate::core::shard

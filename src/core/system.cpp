@@ -1,12 +1,116 @@
 #include "core/system.hpp"
 
 #include <algorithm>
+#include <array>
+#include <unordered_map>
 #include <utility>
 
 #include "common/error.hpp"
 #include "core/parallel/epoch_engine.hpp"
 
 namespace trustrate::core {
+
+namespace {
+
+// Evidence keys: rater << 2 | kind. A credit key marks a rater that holds
+// a C(i) term, so every credited rater has a key group even if (against
+// the detector's contract) it had no rating in the slice.
+constexpr std::uint64_t kRatingKey = 0;
+constexpr std::uint64_t kFilteredKey = 1;
+constexpr std::uint64_t kSuspiciousKey = 2;
+constexpr std::uint64_t kCreditKey = 3;
+
+std::uint64_t evidence_key(RaterId rater, std::uint64_t kind) {
+  return (static_cast<std::uint64_t>(rater) << 2) | kind;
+}
+
+/// Stable LSD radix sort of `items` by rater_of(item), one byte per pass
+/// and only as many passes as the largest rater needs (two for up to 65k
+/// raters). Allocation-free once `tmp` has grown to the input size.
+template <typename T, typename RaterOf>
+void sort_by_rater(std::vector<T>& items, std::vector<T>& tmp,
+                   RaterOf rater_of) {
+  RaterId all_bits = 0;
+  for (const T& x : items) all_bits |= rater_of(x);
+  tmp.resize(items.size());
+  std::array<std::size_t, 256> offsets;
+  for (unsigned shift = 0; shift < 32 && (all_bits >> shift) != 0;
+       shift += 8) {
+    const auto digit = [&](const T& x) {
+      return (rater_of(x) >> shift) & 0xFFu;
+    };
+    offsets.fill(0);
+    for (const T& x : items) ++offsets[digit(x)];
+    std::size_t total = 0;
+    for (std::size_t& o : offsets) total += std::exchange(o, total);
+    for (const T& x : items) tmp[offsets[digit(x)]++] = x;
+    items.swap(tmp);
+  }
+}
+
+RaterId key_rater(std::uint64_t key) { return static_cast<RaterId>(key >> 2); }
+
+}  // namespace
+
+void EvidenceReducer::reduce(const SystemConfig& config,
+                             std::span<const ProductObservation> observations,
+                             std::span<const ProductReport> products,
+                             EvidenceRun& out) {
+  keys_.clear();
+  credits_.clear();
+  for (std::size_t slot = 0; slot < observations.size(); ++slot) {
+    const ProductObservation& obs = observations[slot];
+    const ProductReport& pr = products[slot];
+    const RatingSeries& detector_input =
+        config.detector_on_filtered ? pr.kept : obs.ratings;
+    for (const Rating& r : obs.ratings) {
+      keys_.push_back(evidence_key(r.rater, kRatingKey));
+    }
+    for (const std::size_t i : pr.filter_outcome.removed) {
+      keys_.push_back(evidence_key(obs.ratings[i].rater, kFilteredKey));
+    }
+    // s_i counts *ratings* inside suspicious windows (per product).
+    for (std::size_t k = 0; k < detector_input.size(); ++k) {
+      if (pr.suspicion.in_suspicious_window[k]) {
+        keys_.push_back(
+            evidence_key(detector_input[k].rater, kSuspiciousKey));
+      }
+    }
+    for (const auto& [rater, c] : pr.suspicion.suspicion) {
+      keys_.push_back(evidence_key(rater, kCreditKey));
+      credits_.emplace_back(rater, c);
+    }
+  }
+  sort_by_rater(keys_, keys_tmp_, key_rater);
+  sort_by_rater(credits_, credits_tmp_,
+                [](const std::pair<RaterId, double>& c) { return c.first; });
+
+  out.raters.clear();
+  out.terms.clear();
+  std::size_t credit = 0;
+  for (std::size_t i = 0; i < keys_.size();) {
+    EvidenceRun::Entry e;
+    e.rater = key_rater(keys_[i]);
+    for (; i < keys_.size() && key_rater(keys_[i]) == e.rater; ++i) {
+      switch (keys_[i] & 3) {
+        case kRatingKey: ++e.ratings; break;
+        case kFilteredKey: ++e.filtered; break;
+        case kSuspiciousKey: ++e.suspicious; break;
+        default: break;  // kCreditKey: the terms are counted below
+      }
+    }
+    for (; credit < credits_.size() && credits_[credit].first == e.rater;
+         ++credit) {
+      out.terms.push_back(credits_[credit].second);
+      ++e.terms;
+    }
+    // Ascending within the rater: the canonical summation order of C(i)
+    // (DESIGN.md §9, §14). A rater holds one term per credited product.
+    std::sort(out.terms.end() - static_cast<std::ptrdiff_t>(e.terms),
+              out.terms.end());
+    out.raters.push_back(e);
+  }
+}
 
 TrustEnhancedRatingSystem::TrustEnhancedRatingSystem(SystemConfig config)
     : config_(config), filter_(config.filter), detector_(config.ar),
@@ -23,6 +127,8 @@ TrustEnhancedRatingSystem::~TrustEnhancedRatingSystem() = default;
 
 // Moves are member-wise except for the trust-store observer, which captures
 // `this` (wire_store_observer) and must be re-bound to the new address.
+// The per-epoch scratch (reducer, run, fold buffers) is not state and is
+// left behind.
 TrustEnhancedRatingSystem::TrustEnhancedRatingSystem(
     TrustEnhancedRatingSystem&& other) noexcept
     : config_(other.config_),
@@ -88,8 +194,10 @@ EpochReport TrustEnhancedRatingSystem::process_epoch(
     }
   }
 
-  EpochReport report =
-      merge_epoch_impl(epoch_ordinal, observations, std::move(products));
+  // The unsharded epoch is a single slice: one run, the same fold.
+  reducer_.reduce(config_, observations, products, run_);
+  EpochReport report = merge_epoch_impl(epoch_ordinal, observations,
+                                        std::move(products), {&run_, 1});
   if (epoch_seconds_ != nullptr) {
     epoch_seconds_->observe(
         static_cast<double>(obs::monotonic_ns() - epoch_t0) * 1e-9);
@@ -102,74 +210,50 @@ EpochReport TrustEnhancedRatingSystem::merge_epoch(
     std::vector<ProductReport> products) {
   TRUSTRATE_EXPECTS(products.size() == observations.size(),
                     "merge_epoch: one report per observation required");
+  reducer_.reduce(config_, observations, products, run_);
+  return merge_epoch(observations, std::move(products), {&run_, 1});
+}
+
+EpochReport TrustEnhancedRatingSystem::merge_epoch(
+    std::span<const ProductObservation> observations,
+    std::vector<ProductReport> products, std::span<const EvidenceRun> runs) {
+  TRUSTRATE_EXPECTS(products.size() == observations.size(),
+                    "merge_epoch: one report per observation required");
   const auto epoch_ordinal = static_cast<std::uint64_t>(epochs_) + 1;
   const obs::SpanTimer epoch_span(obs_.trace, "epoch.merge", epoch_ordinal);
-  return merge_epoch_impl(epoch_ordinal, observations, std::move(products));
+  return merge_epoch_impl(epoch_ordinal, observations, std::move(products),
+                          runs);
 }
 
 EpochReport TrustEnhancedRatingSystem::merge_epoch_impl(
     std::uint64_t epoch_ordinal, std::span<const ProductObservation> observations,
-    std::vector<ProductReport> products) {
+    std::vector<ProductReport> products, std::span<const EvidenceRun> runs) {
   EpochReport report;
 
   // Record maintenance: fade old evidence before folding in the new epoch.
   if (config_.forgetting < 1.0) store_.fade_all(config_.forgetting);
 
-  // Stage 2 — deterministic merge in input-slot order. Every accumulation
-  // below (metrics, per-rater n/f/s/C) runs in exactly the order of the
-  // serial loop, so the report and the trust store are bitwise-identical
-  // at any worker count.
-  std::unordered_map<RaterId, trust::EpochObservation> epoch_obs;
-  // Per-product suspicion contributions are summed *canonically* (sorted
-  // ascending) per rater, not in product order: C(i) is then invariant under
-  // any relabeling of product IDs (which reorders the epoch's products),
-  // not just order-preserving ones — one of the metamorphic guarantees
-  // src/testkit checks. Counters are integers and need no such care.
-  std::unordered_map<RaterId, std::vector<double>> suspicion_terms;
+  // Stage 2 — the report in input-slot order, so the confusion table
+  // accumulates in exactly the serial loop's order at any worker count.
+  report.products.reserve(products.size());
   for (std::size_t slot = 0; slot < observations.size(); ++slot) {
-    const ProductObservation& obs = observations[slot];
     ProductReport& pr = products[slot];
-    const RatingSeries& detector_input =
-        config_.detector_on_filtered ? pr.kept : obs.ratings;
-
     report.detector_degraded |= pr.detector_degraded;
-    report.rating_metrics += score_rating_flags(obs.ratings, pr.flagged);
-
-    // Observation buffer: accumulate n / f / s / C per rater.
-    for (const Rating& r : obs.ratings) {
-      ++epoch_obs[r.rater].ratings;
-    }
-    for (std::size_t i : pr.filter_outcome.removed) {
-      ++epoch_obs[obs.ratings[i].rater].filtered;
-    }
-    // s_i counts *ratings* inside suspicious windows (per product).
-    for (std::size_t k = 0; k < detector_input.size(); ++k) {
-      if (pr.suspicion.in_suspicious_window[k]) {
-        ++epoch_obs[detector_input[k].rater].suspicious;
-      }
-    }
-    for (const auto& [rater, c] : pr.suspicion.suspicion) {
-      suspicion_terms[rater].push_back(c);
-    }
-
+    report.rating_metrics +=
+        score_rating_flags(observations[slot].ratings, pr.flagged);
     report.products.push_back(std::move(pr));
   }
-  for (auto& [rater, terms] : suspicion_terms) {
-    std::sort(terms.begin(), terms.end());
-    double sum = 0.0;
-    for (const double term : terms) sum += term;
-    epoch_obs[rater].suspicion_value = sum;
-  }
 
-  // Procedure 2: one trust update per active rater.
+  // Observation buffer: n / f / s / C per rater, from the reduced runs.
+  fold(runs);
+
+  // Procedure 2: one trust update per active rater, in rater order.
   trust_transitions_.clear();
   {
     const obs::SpanTimer span(obs_.trace, "epoch.trust_update", epoch_ordinal);
     const std::uint64_t t0 =
         trust_update_seconds_ != nullptr ? obs::monotonic_ns() : 0;
-    for (const auto& [rater, obs] : epoch_obs) {
-      store_.update(rater, obs, config_.b);
-    }
+    for (const auto& [rater, o] : folded_) store_.update(rater, o, config_.b);
     if (trust_update_seconds_ != nullptr) {
       trust_update_seconds_->observe(
           static_cast<double>(obs::monotonic_ns() - t0) * 1e-9);
@@ -177,9 +261,56 @@ EpochReport TrustEnhancedRatingSystem::merge_epoch_impl(
   }
   ++epochs_;
   if (obs_.enabled()) {
-    finish_epoch_observability(epoch_ordinal, report, observations, epoch_obs);
+    finish_epoch_observability(epoch_ordinal, report, observations);
   }
   return report;
+}
+
+void TrustEnhancedRatingSystem::fold(std::span<const EvidenceRun> runs) {
+  folded_.clear();
+  fold_cursors_.assign(runs.size(), FoldCursor{});
+  for (;;) {
+    // The smallest rater at any run's head.
+    bool any = false;
+    RaterId rater = 0;
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+      if (fold_cursors_[k].rater == runs[k].raters.size()) continue;
+      const RaterId head = runs[k].raters[fold_cursors_[k].rater].rater;
+      if (!any || head < rater) rater = head;
+      any = true;
+    }
+    if (!any) break;
+
+    // Counts are integers and add in any order. Each run's terms for the
+    // rater are sorted, so merging the lists yields the rater's terms in
+    // ascending order: the canonical sum (DESIGN.md §9), whatever the
+    // split of products into runs. C(i) is then invariant under shard
+    // count, worker count and product relabeling (src/testkit checks all
+    // three).
+    trust::EpochObservation o;
+    fold_terms_.clear();
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+      FoldCursor& at = fold_cursors_[k];
+      if (at.rater == runs[k].raters.size() ||
+          runs[k].raters[at.rater].rater != rater) {
+        continue;
+      }
+      const EvidenceRun::Entry& e = runs[k].raters[at.rater++];
+      o.ratings += e.ratings;
+      o.filtered += e.filtered;
+      o.suspicious += e.suspicious;
+      const auto first =
+          runs[k].terms.begin() + static_cast<std::ptrdiff_t>(at.term);
+      const auto last = first + e.terms;
+      at.term += e.terms;
+      fold_terms_tmp_.resize(fold_terms_.size() + e.terms);
+      std::merge(fold_terms_.begin(), fold_terms_.end(), first, last,
+                 fold_terms_tmp_.begin());
+      fold_terms_.swap(fold_terms_tmp_);
+    }
+    for (const double term : fold_terms_) o.suspicion_value += term;
+    folded_.emplace_back(rater, o);
+  }
 }
 
 void TrustEnhancedRatingSystem::set_observability(const obs::Observability& o) {
@@ -224,8 +355,7 @@ void TrustEnhancedRatingSystem::wire_store_observer() {
 
 void TrustEnhancedRatingSystem::finish_epoch_observability(
     std::uint64_t epoch_ordinal, const EpochReport& report,
-    std::span<const ProductObservation> observations,
-    const std::unordered_map<RaterId, trust::EpochObservation>& epoch_obs) {
+    std::span<const ProductObservation> observations) {
   const double threshold = config_.ar.error_threshold;
 
   // Per product (input-slot order): filtered ratings, then suspicious
@@ -269,17 +399,12 @@ void TrustEnhancedRatingSystem::finish_epoch_observability(
     }
   }
 
-  // C(i) increments, rater-sorted: the soft-evidence half of Procedure 2,
-  // with the epoch's hard counts in `detail` so the update is replayable
-  // from the log alone.
+  // C(i) increments, rater-sorted (the fold's order): the soft-evidence
+  // half of Procedure 2, with the epoch's hard counts in `detail` so the
+  // update is replayable from the log alone.
   if (obs_.audit != nullptr) {
-    std::vector<RaterId> raters;
-    for (const auto& [rater, o] : epoch_obs) {
-      if (o.suspicion_value > 0.0) raters.push_back(rater);
-    }
-    std::sort(raters.begin(), raters.end());
-    for (const RaterId rater : raters) {
-      const trust::EpochObservation& o = epoch_obs.at(rater);
+    for (const auto& [rater, o] : folded_) {
+      if (!(o.suspicion_value > 0.0)) continue;
       obs::AuditEvent e;
       e.type = obs::AuditEventType::kSuspicionIncrement;
       e.epoch = epoch_ordinal;
@@ -292,12 +417,8 @@ void TrustEnhancedRatingSystem::finish_epoch_observability(
     }
   }
 
-  // Trust demotions, rater-sorted: Procedure-2 updates that moved a rater
-  // from at-or-above the malicious threshold to below it.
-  std::sort(trust_transitions_.begin(), trust_transitions_.end(),
-            [](const TrustTransition& a, const TrustTransition& b) {
-              return a.rater < b.rater;
-            });
+  // Trust demotions, rater-sorted (the update order): Procedure-2 updates
+  // that moved a rater from at-or-above the malicious threshold to below it.
   for (const TrustTransition& t : trust_transitions_) {
     if (!(t.before >= config_.malicious_threshold &&
           t.after < config_.malicious_threshold)) {

@@ -18,12 +18,18 @@
 // Each epoch holds the per-product rating series observed during that
 // period; the system filters, detects, updates trust, and can then produce
 // trust-weighted aggregated ratings and a malicious-rater list.
+//
+// Procedure 2's observation buffer is an EvidenceRun: per-rater n/f/s and
+// C(i) terms, sorted by rater. An epoch is reduced into one run here, or
+// into one run per shard by core/shard; either way the runs are folded by
+// the same code, which sums each rater's terms in ascending order, so the
+// trust state is bitwise the same for any split (DESIGN.md §8, §14).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "agg/aggregator.hpp"
@@ -103,6 +109,43 @@ struct ProductReport {
   bool detector_degraded = false;
 };
 
+/// Procedure-2 evidence of a slice of one epoch, reduced per rater
+/// (DESIGN.md §14): the n/f/s counts and the C(i) terms of every rater the
+/// slice's products saw, as flat vectors sorted by rater ID. Shard workers
+/// build one per epoch cell; process_epoch builds one for the whole epoch.
+/// Terms are carried one by one, not pre-summed, so a fold of any set of
+/// runs still sums each rater's terms in the canonical ascending order.
+struct EvidenceRun {
+  struct Entry {
+    RaterId rater = 0;
+    std::uint32_t ratings = 0;     ///< n_i
+    std::uint32_t filtered = 0;    ///< f_i
+    std::uint32_t suspicious = 0;  ///< s_i
+    std::uint32_t terms = 0;       ///< this rater's share of `terms`
+  };
+  std::vector<Entry> raters;  ///< strictly ascending by rater
+  /// C(i) terms, one per (rater, product) credit: rater-major in `raters`
+  /// order, ascending within a rater.
+  std::vector<double> terms;
+};
+
+/// Reduces analyzed products into an EvidenceRun. The sort scratch is kept
+/// across calls, so reducing into a reused run allocates nothing once the
+/// buffers have reached the epoch's size.
+class EvidenceReducer {
+ public:
+  /// `products[i]` analyzes `observations[i]`; `out` is overwritten.
+  void reduce(const SystemConfig& config,
+              std::span<const ProductObservation> observations,
+              std::span<const ProductReport> products, EvidenceRun& out);
+
+ private:
+  std::vector<std::uint64_t> keys_;  ///< rater << 2 | kind, one per event
+  std::vector<std::uint64_t> keys_tmp_;
+  std::vector<std::pair<RaterId, double>> credits_;  ///< (rater, C(i) term)
+  std::vector<std::pair<RaterId, double>> credits_tmp_;
+};
+
 /// Per-epoch outcome.
 struct EpochReport {
   std::vector<ProductReport> products;
@@ -128,22 +171,30 @@ class TrustEnhancedRatingSystem {
   /// active in the epoch. Forgetting is applied before the update.
   ///
   /// The per-product stage runs on the epoch engine
-  /// (SystemConfig::epoch_workers); reports and trust-evidence deltas are
-  /// merged in input order, so results do not depend on the worker count.
+  /// (SystemConfig::epoch_workers); reports are merged in input order and
+  /// the trust evidence through a single evidence run, so results do not
+  /// depend on the worker count.
   EpochReport process_epoch(std::span<const ProductObservation> observations);
 
   /// Second half of process_epoch for pre-analyzed products: folds
   /// `products` (slot i analyzing observation i, produced by
-  /// parallel::analyze_product — e.g. on another system's engine, or on a
-  /// shard's engine) into this system's trust state. Runs the fade, the
-  /// canonical sorted suspicion merge, Procedure 2, and observability —
-  /// everything process_epoch does except the analysis stage itself.
-  /// Feeding it the concatenation of per-shard analyses, sorted by product
-  /// ID, yields bitwise-identical results to process_epoch on the whole
-  /// epoch: stage 1 is per-product-independent and stage 2 is
-  /// product-order-canonical (DESIGN.md §14).
+  /// parallel::analyze_product — e.g. on another system's engine) into
+  /// this system's trust state. Reduces them into one evidence run and
+  /// folds it exactly as process_epoch does.
   EpochReport merge_epoch(std::span<const ProductObservation> observations,
                           std::vector<ProductReport> products);
+
+  /// merge_epoch for evidence already reduced elsewhere: `runs` together
+  /// cover exactly `products` (e.g. one run per shard, each reduced from
+  /// that shard's slice). Runs the fade, the k-way rater fold of the runs,
+  /// Procedure 2 in rater order, and observability. With `observations`
+  /// in product-ID order the result is bitwise-identical to process_epoch
+  /// on the whole epoch, however the products were split into runs: the
+  /// counts are integers and each rater's terms are summed in ascending
+  /// order (DESIGN.md §14).
+  EpochReport merge_epoch(std::span<const ProductObservation> observations,
+                          std::vector<ProductReport> products,
+                          std::span<const EvidenceRun> runs);
 
   /// Trust in a rater (0.5 for unknown raters).
   double trust(RaterId id) const { return store_.trust(id); }
@@ -185,18 +236,23 @@ class TrustEnhancedRatingSystem {
   void set_observability(const obs::Observability& o);
 
  private:
-  /// Shared tail of process_epoch / merge_epoch: fade, deterministic slot-
-  /// order merge, Procedure 2, epoch counter, observability.
+  /// Shared tail of process_epoch / merge_epoch: fade, slot-order report
+  /// assembly, the fold of `runs`, Procedure 2, epoch counter,
+  /// observability.
   EpochReport merge_epoch_impl(std::uint64_t epoch_ordinal,
                                std::span<const ProductObservation> observations,
-                               std::vector<ProductReport> products);
+                               std::vector<ProductReport> products,
+                               std::span<const EvidenceRun> runs);
+
+  /// K-way merges `runs` by rater into folded_: integer counts added,
+  /// each rater's sorted term lists merged and summed in ascending order.
+  void fold(std::span<const EvidenceRun> runs);
 
   /// Deterministic-count metrics and audit-log emissions for one processed
   /// epoch, in canonical order (slot, then window position, then rater).
   void finish_epoch_observability(
       std::uint64_t epoch_ordinal, const EpochReport& report,
-      std::span<const ProductObservation> observations,
-      const std::unordered_map<RaterId, trust::EpochObservation>& epoch_obs);
+      std::span<const ProductObservation> observations);
 
   /// (Re-)attaches the trust-store update observer that feeds
   /// trust_transitions_ (store replacement on restore drops it).
@@ -217,8 +273,25 @@ class TrustEnhancedRatingSystem {
   obs::Counter* suspicious_intervals_ = nullptr;
   obs::Counter* trust_demotions_ = nullptr;
 
+  /// Single-run path of process_epoch / merge_epoch(observations,
+  /// products): the reducer's scratch and the run are reused per epoch.
+  EvidenceReducer reducer_;
+  EvidenceRun run_;
+
+  /// Scratch of the epoch in flight: the folded per-rater evidence in
+  /// rater order, and the fold's term-merge buffers.
+  std::vector<std::pair<RaterId, trust::EpochObservation>> folded_;
+  struct FoldCursor {
+    std::size_t rater = 0;  ///< next entry of the run's `raters`
+    std::size_t term = 0;   ///< first unfolded entry of the run's `terms`
+  };
+  std::vector<FoldCursor> fold_cursors_;
+  std::vector<double> fold_terms_;
+  std::vector<double> fold_terms_tmp_;
+
   /// Scratch: (rater, before, after) per Procedure-2 update of the epoch
-  /// in flight, filled by the store observer, sorted before audit emission.
+  /// in flight, filled by the store observer — in rater order, because the
+  /// updates run in rater order.
   struct TrustTransition {
     RaterId rater;
     double before;

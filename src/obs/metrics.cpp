@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/error.hpp"
+#include "obs/json.hpp"
 
 namespace trustrate::obs {
 namespace {
@@ -124,23 +125,31 @@ std::string MetricsRegistry::prometheus() const {
         out += name + ' ' + format_number(e.gauge->value()) + '\n';
         break;
       case Kind::kHistogram: {
+        // A labeled histogram keeps its labels on every series, with `le`
+        // appended: family_bucket{shard="0",le="..."}, family_sum{shard="0"}.
+        const std::string labels = name.substr(family.size());  // "" or {..}
+        const std::string le_prefix =
+            family + "_bucket{" +
+            (labels.empty() ? "" : labels.substr(1, labels.size() - 2) + ",") +
+            "le=\"";
         const auto counts = e.histogram->bucket_counts();
         const auto& bounds = e.histogram->bounds();
         std::uint64_t cumulative = 0;
         for (std::size_t i = 0; i < bounds.size(); ++i) {
           cumulative += counts[i];
-          out += name + "_bucket{le=\"" + format_number(bounds[i]) + "\"} " +
+          out += le_prefix + format_number(bounds[i]) + "\"} " +
                  std::to_string(cumulative) + '\n';
         }
         cumulative += counts[bounds.size()];
-        out += name + "_bucket{le=\"+Inf\"} " + std::to_string(cumulative) +
-               '\n';
-        out += name + "_sum " + format_number(e.histogram->sum()) + '\n';
+        out += le_prefix + "+Inf\"} " + std::to_string(cumulative) + '\n';
+        out += family + "_sum" + labels + ' ' +
+               format_number(e.histogram->sum()) + '\n';
         // _count must equal the +Inf cumulative bucket per the exposition
         // format; deriving it from the same per-bucket loads (rather than
         // the separate count_ cell) keeps a snapshot torn by a concurrent
         // observe() internally consistent.
-        out += name + "_count " + std::to_string(cumulative) + '\n';
+        out += family + "_count" + labels + ' ' + std::to_string(cumulative) +
+               '\n';
         break;
       }
     }
@@ -155,11 +164,13 @@ std::string MetricsRegistry::json() const {
     switch (e.kind) {
       case Kind::kCounter:
         if (!counters.empty()) counters += ',';
-        counters += '"' + name + "\":" + std::to_string(e.counter->value());
+        counters += '"' + json_escape(name) + "\":" +
+                    std::to_string(e.counter->value());
         break;
       case Kind::kGauge:
         if (!gauges.empty()) gauges += ',';
-        gauges += '"' + name + "\":" + format_number(e.gauge->value());
+        gauges += '"' + json_escape(name) + "\":" +
+                  format_number(e.gauge->value());
         break;
       case Kind::kHistogram: {
         if (!histograms.empty()) histograms += ',';
@@ -173,8 +184,8 @@ std::string MetricsRegistry::json() const {
           if (!counts_json.empty()) counts_json += ',';
           counts_json += std::to_string(c);
         }
-        histograms += '"' + name + "\":{\"bounds\":[" + bounds_json +
-                      "],\"buckets\":[" + counts_json +
+        histograms += '"' + json_escape(name) + "\":{\"bounds\":[" +
+                      bounds_json + "],\"buckets\":[" + counts_json +
                       "],\"sum\":" + format_number(e.histogram->sum()) +
                       ",\"count\":" + std::to_string(e.histogram->count()) +
                       '}';

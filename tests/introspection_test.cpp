@@ -1,7 +1,7 @@
 // Live-introspection tests (ISSUE 10): endpoint goldens for the /healthz
 // and /status renderers, the Prometheus exposition-format contract for
-// labeled metric families and histogram snapshots, the deprecated-name
-// mirroring of the renamed shard counters, causal-ID threading through
+// labeled metric families and histogram snapshots, the retired flat shard
+// counter names staying gone, causal-ID threading through
 // the ingest → shard ring → epoch close → merge trace chain, SPSC ring
 // backpressure telemetry, the HTTP exposition server's lifecycle and
 // malformed-request robustness, a scrape-while-ingesting hammer (the TSan
@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -303,11 +304,11 @@ TEST(PrometheusExposition, LabeledSeriesShareOneFamilyHeader) {
       .add(3);
   m.counter("trustrate_shard_routed_total{shard=\"1\"}", "Routed per shard")
       .add(4);
-  m.gauge("trustrate_deprecated_metric_names", "Deprecated series").set(6.0);
+  m.gauge("trustrate_pending_ratings", "Pending ratings").set(6.0);
   EXPECT_EQ(m.prometheus(),
-            "# HELP trustrate_deprecated_metric_names Deprecated series\n"
-            "# TYPE trustrate_deprecated_metric_names gauge\n"
-            "trustrate_deprecated_metric_names 6\n"
+            "# HELP trustrate_pending_ratings Pending ratings\n"
+            "# TYPE trustrate_pending_ratings gauge\n"
+            "trustrate_pending_ratings 6\n"
             "# HELP trustrate_shard_routed_total Routed per shard\n"
             "# TYPE trustrate_shard_routed_total counter\n"
             "trustrate_shard_routed_total{shard=\"0\"} 3\n"
@@ -332,10 +333,33 @@ TEST(PrometheusExposition, HistogramSnapshotGolden) {
             "demo_seconds_count 3\n");
 }
 
-TEST(MetricNaming, DeprecatedFlatShardNamesMirrorLabeledSeries) {
-  // The flat trustrate_shard<K>_* names predate Prometheus label
-  // conventions; they stay for one release, bit-identical to the labeled
-  // series, with a gauge counting the deprecated surface.
+TEST(PrometheusExposition, LabeledHistogramKeepsLabelsOnEverySeries) {
+  // The series labels move inside every _bucket/_sum/_count line, with le
+  // appended after them; one family header covers every shard.
+  obs::MetricsRegistry m;
+  m.histogram("demo_seconds{shard=\"0\"}", {0.5}, "Demo latency").observe(0.25);
+  m.histogram("demo_seconds{shard=\"1\"}", {0.5}, "Demo latency").observe(1.0);
+  EXPECT_EQ(m.prometheus(),
+            "# HELP demo_seconds Demo latency\n"
+            "# TYPE demo_seconds histogram\n"
+            "demo_seconds_bucket{shard=\"0\",le=\"0.5\"} 1\n"
+            "demo_seconds_bucket{shard=\"0\",le=\"+Inf\"} 1\n"
+            "demo_seconds_sum{shard=\"0\"} 0.25\n"
+            "demo_seconds_count{shard=\"0\"} 1\n"
+            "demo_seconds_bucket{shard=\"1\",le=\"0.5\"} 0\n"
+            "demo_seconds_bucket{shard=\"1\",le=\"+Inf\"} 1\n"
+            "demo_seconds_sum{shard=\"1\"} 1\n"
+            "demo_seconds_count{shard=\"1\"} 1\n");
+  // The JSON snapshot escapes the label quotes inside its keys.
+  EXPECT_NE(m.json().find("\"demo_seconds{shard=\\\"0\\\"}\""),
+            std::string::npos)
+      << m.json();
+}
+
+TEST(MetricNaming, DeprecatedFlatShardNamesAreAbsent) {
+  // The flat trustrate_shard<K>_* aliases and the gauge that counted them
+  // were retired after their one-release window: only the labeled
+  // families remain, next to the sharded stage histograms.
   obs::MetricsRegistry metrics;
   obs::Observability o;
   o.metrics = &metrics;
@@ -346,25 +370,36 @@ TEST(MetricNaming, DeprecatedFlatShardNamesMirrorLabeledSeries) {
   for (const Rating& r : wide_stream(160)) system.submit(r);
   system.flush();
 
-  for (const char* stem : {"routed", "cells", "skipped_cells"}) {
-    for (int k = 0; k < 2; ++k) {
-      const std::string flat = "trustrate_shard" + std::to_string(k) + "_" +
-                               stem + "_total";
-      const std::string labeled = std::string("trustrate_shard_") + stem +
-                                  "_total{shard=\"" + std::to_string(k) +
-                                  "\"}";
-      EXPECT_EQ(metrics.counter(flat).value(),
-                metrics.counter(labeled).value())
-          << flat;
-    }
+  const std::string text = metrics.prometheus();
+  for (int k = 0; k < 2; ++k) {
+    const std::string flat = "trustrate_shard" + std::to_string(k) + "_";
+    EXPECT_EQ(text.find("\n" + flat), std::string::npos) << flat;
   }
+  EXPECT_EQ(text.find("trustrate_deprecated_metric_names"), std::string::npos);
+  EXPECT_EQ(text.find("DEPRECATED"), std::string::npos);
   EXPECT_GT(metrics.counter("trustrate_shard_routed_total{shard=\"0\"}")
                 .value(),
             0u);
-  EXPECT_EQ(metrics.gauge("trustrate_deprecated_metric_names").value(), 6.0);
-
-  const std::string text = metrics.prometheus();
-  EXPECT_NE(text.find("DEPRECATED flat name"), std::string::npos);
+  // The sharded stage histograms: one analyze observation per cell a
+  // shard analyzed, one merge_cell observation per closed epoch.
+  for (int k = 0; k < 2; ++k) {
+    const std::string label = "{shard=\"" + std::to_string(k) + "\"}";
+    EXPECT_EQ(metrics
+                  .histogram("trustrate_shard_analyze_seconds" + label,
+                             obs::default_seconds_buckets())
+                  .count(),
+              metrics.counter("trustrate_shard_cells_total" + label).value())
+        << label;
+  }
+  EXPECT_EQ(metrics
+                .histogram("trustrate_merge_cell_seconds",
+                           obs::default_seconds_buckets())
+                .count(),
+            system.epochs_closed());
+  EXPECT_NE(text.find("trustrate_merge_cell_seconds_bucket{le="),
+            std::string::npos);
+  EXPECT_NE(text.find("trustrate_shard_analyze_seconds_bucket{shard=\"1\",le="),
+            std::string::npos);
   // One family header for the labeled series, however many shards.
   std::size_t headers = 0;
   for (std::size_t at = 0;
@@ -629,14 +664,23 @@ TEST(IntrospectionHammer, ConcurrentScrapesWhileIngesting) {
       }
     });
   }
+  // Ingest starts once a scrape has been answered, so the scrapers are
+  // live for the whole stream: a stream shorter than one round trip
+  // under a loaded host would otherwise finish before any scrape lands.
+  for (int spins = 0; ok_responses.load() == 0 && spins < 10000; ++spins) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool answered = ok_responses.load() > 0;
   const RatingSeries stream = wide_stream(960);
-  for (const Rating& r : stream) system.submit(r);
-  system.flush();
+  if (answered) {
+    for (const Rating& r : stream) system.submit(r);
+    system.flush();
+  }
   stop.store(true);
   for (std::thread& t : scrapers) t.join();
   server.stop();
 
-  EXPECT_GT(ok_responses.load(), 0u);
+  ASSERT_TRUE(answered) << "the server never answered a scrape";
   EXPECT_EQ(system.ingest_stats().submitted, stream.size());
   const obs::PipelineProbe probe = system.probe();
   EXPECT_FALSE(probe.failed);
