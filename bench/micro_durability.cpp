@@ -9,15 +9,21 @@
 //   always  fsync after every record (group-commit territory)
 //
 // Plus the two recovery-path costs an operator plans around: writing an
-// atomic checkpoint, and cold recovery (checkpoint restore + WAL replay).
+// atomic checkpoint, and cold recovery (checkpoint restore + WAL replay);
+// the checkpoint codec alone (render and parse at ~200k retained ratings,
+// the size a marketplace checkpoint carries); and CRC32C on the table
+// reference vs the dispatched backend (SSE4.2 where cpuid reports it).
 #include <benchmark/benchmark.h>
 
 #include "bench_json.hpp"
 
 #include <filesystem>
+#include <vector>
 
 #include "common/math.hpp"
 #include "common/rng.hpp"
+#include "core/checkpoint.hpp"
+#include "core/durable/crc32c.hpp"
 #include "core/durable/durable_stream.hpp"
 #include "core/streaming.hpp"
 
@@ -176,6 +182,92 @@ void BM_ColdRecovery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * arrivals.size());
 }
 BENCHMARK(BM_ColdRecovery)->Arg(512)->Unit(benchmark::kMicrosecond);
+
+/// A snapshot shaped like a marketplace checkpoint: `ratings` retained
+/// ratings over 2,000 products (two retained epochs each), one pending
+/// epoch's worth on top at a tenth of that, and 8,000 trust records.
+core::StreamSnapshot bench_snapshot(std::size_t ratings) {
+  Rng rng(31);
+  const auto rating = [&rng](ProductId product, double day) {
+    return Rating{day + rng.uniform(0.0, 30.0),
+                  quantize_unit(clamp_unit(rng.gaussian(0.55, 0.25)), 10,
+                                false),
+                  static_cast<RaterId>(rng.uniform_int(0, 7999)), product,
+                  RatingLabel::kHonest};
+  };
+  constexpr std::size_t kProducts = 2000;
+  core::StreamSnapshot s;
+  s.anchored = true;
+  s.epoch_start = 60.0;
+  s.last_time = 75.5;
+  for (std::size_t i = 0; i < ratings; ++i) {
+    const auto product = static_cast<ProductId>(i % kProducts);
+    auto& epochs = s.retained[product];
+    epochs.resize(2);
+    epochs[(i / kProducts) % 2].push_back(
+        rating(product, 30.0 * static_cast<double>((i / kProducts) % 2)));
+  }
+  for (std::size_t i = 0; i < ratings / 10; ++i) {
+    const auto product = static_cast<ProductId>(i % kProducts);
+    s.pending[product].push_back(rating(product, 60.0));
+  }
+  for (RaterId id = 0; id < 8000; ++id) {
+    trust::TrustRecord record;
+    record.successes = rng.uniform(0.0, 200.0);
+    record.failures = rng.uniform(0.0, 40.0);
+    s.trust.push_back({id, record});
+  }
+  return s;
+}
+
+void BM_CheckpointRender(benchmark::State& state) {
+  const core::StreamSnapshot snapshot =
+      bench_snapshot(static_cast<std::size_t>(state.range(0)));
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string text =
+        core::render_checkpoint(snapshot, core::kCheckpointVersion);
+    bytes = text.size();
+    benchmark::DoNotOptimize(text.data());
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations() * bytes));
+  state.counters["checkpoint_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_CheckpointRender)->Arg(200000)->Unit(benchmark::kMillisecond);
+
+void BM_CheckpointParse(benchmark::State& state) {
+  const std::string text = core::render_checkpoint(
+      bench_snapshot(static_cast<std::size_t>(state.range(0))),
+      core::kCheckpointVersion);
+  for (auto _ : state) {
+    const core::StreamSnapshot parsed = core::parse_checkpoint(text);
+    benchmark::DoNotOptimize(parsed.trust.data());
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations() * text.size()));
+}
+BENCHMARK(BM_CheckpointParse)->Arg(200000)->Unit(benchmark::kMillisecond);
+
+/// Arg 0: 0 = the table reference, 1 = the dispatched crc32c(); arg 1:
+/// buffer bytes. The perf-smoke CI job requires /1/ to beat /0/.
+void BM_Crc32c(benchmark::State& state) {
+  const bool dispatched = state.range(0) != 0;
+  std::vector<unsigned char> bytes(static_cast<std::size_t>(state.range(1)));
+  Rng rng(37);
+  for (unsigned char& b : bytes) {
+    b = static_cast<unsigned char>(rng.uniform_int(0, 255));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        dispatched ? core::durable::crc32c(bytes.data(), bytes.size())
+                   : core::durable::crc32c_table(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations() * bytes.size()));
+  state.SetLabel(dispatched ? core::durable::crc32c_backend() : "table");
+}
+BENCHMARK(BM_Crc32c)->Args({0, 1 << 20})->Args({1, 1 << 20});
 
 }  // namespace
 

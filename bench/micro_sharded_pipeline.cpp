@@ -92,7 +92,7 @@ void BM_SpscTransfer(benchmark::State& state) {
   for (auto _ : state) {
     core::shard::SpscQueue<Payload> q(capacity);
     std::thread consumer([&q] {
-      Payload p;
+      Payload p{};
       std::uint64_t sink = 0;
       for (std::int64_t i = 0; i < kBatch; ++i) {
         q.pop(p);

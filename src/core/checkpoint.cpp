@@ -1,13 +1,17 @@
 #include "core/checkpoint.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <charconv>
+#include <climits>
+#include <cmath>
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
@@ -21,52 +25,225 @@ namespace {
 using durable::crc32c;
 using durable::crc32c_hex;
 
+/// The C locale's isspace set: the token separators of the format. Spelled
+/// out rather than std::isspace so bytes >= 0x80 need no cast and no locale.
+constexpr bool is_space(char c) {
+  return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' ||
+         c == '\f';
+}
+
+constexpr bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+constexpr int hex_value(char c) {
+  if (is_digit(c)) return c - '0';
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+  return -1;
+}
+
+/// The next whitespace-delimited field of `text` at or after `pos` (empty
+/// when none is left), advancing `pos` past it.
+std::string_view next_field(std::string_view text, std::size_t& pos) {
+  while (pos < text.size() && is_space(text[pos])) ++pos;
+  const std::size_t start = pos;
+  while (pos < text.size() && !is_space(text[pos])) ++pos;
+  return text.substr(start, pos - start);
+}
+
 // ---------------------------------------------------------------- writing
 
-/// Hexfloat formatting: every finite double round-trips bit-exactly through
-/// strtod, and nan/inf (possible in quarantined ratings) print readably.
-std::string format_double(double x) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%a", x);
-  return buf;
-}
+/// Appends checkpoint text to one reserved string. Fields are formatted
+/// into a small stack buffer that is appended in one piece whenever it
+/// fills and at every section boundary, so the per-rating loops neither
+/// allocate nor touch an iostream. Sections are checksummed in place: the
+/// crc line covers the output bytes from the section's start.
+class TextWriter {
+ public:
+  explicit TextWriter(std::string& out) : out_(out) {}
 
-void write_rating(std::ostream& out, const Rating& r) {
-  out << format_double(r.time) << ' ' << format_double(r.value) << ' '
-      << r.rater << ' ' << r.product << ' '
-      << static_cast<unsigned>(r.label) << '\n';
-}
+  /// Writes `fields` separated by single spaces and ends the line.
+  template <typename... Fields>
+  void line(const Fields&... fields) {
+    bool first = true;
+    ((first ? void(first = false) : put(' '), put(fields)), ...);
+    put('\n');
+  }
 
-/// Quarantine detail strings are free text (spaces, anything ingest put
-/// there); on the wire they must be a single whitespace-free token.
-/// Percent-escaping: '%', whitespace, control, and non-ASCII bytes become
-/// %XX; the empty string is spelled `-` (and a literal "-" is escaped so
-/// the spelling stays unambiguous). Round-trips byte-exactly.
-std::string escape_detail(const std::string& detail) {
-  if (detail.empty()) return "-";
-  std::string out;
-  out.reserve(detail.size());
-  for (const unsigned char c : detail) {
-    if (c <= 0x20 || c >= 0x7F || c == '%') {
-      char buf[4];
-      std::snprintf(buf, sizeof buf, "%%%02x", c);
-      out += buf;
+  void put(char c) {
+    room(1);
+    *p_++ = c;
+  }
+
+  void put(std::string_view s) {
+    if (s.size() > kField) {
+      flush();
+      out_.append(s);
+      return;
+    }
+    room(s.size());
+    std::memcpy(p_, s.data(), s.size());
+    p_ += s.size();
+  }
+
+  template <std::integral T>
+  void put(T v) {
+    room(kField);
+    p_ = std::to_chars(p_, p_ + kField, static_cast<std::uint64_t>(v)).ptr;
+  }
+
+  /// C hexfloat, byte-identical to printf's `%a`: every finite double
+  /// round-trips bit-exactly through strtod, and inf/nan (possible in
+  /// quarantined ratings) print readably. Normal numbers and zeros go
+  /// through to_chars, whose shortest hex spelling is `%a` without the
+  /// `0x` prefix; subnormal and non-finite values keep `%a` itself (the
+  /// libstdc++ subnormal spelling differs from glibc's).
+  void put(double x) {
+    room(kField + 1);  // + snprintf's terminator
+    const int kind = std::fpclassify(x);
+    if (kind == FP_NORMAL || kind == FP_ZERO) {
+      if (std::signbit(x)) {
+        *p_++ = '-';
+        x = -x;
+      }
+      *p_++ = '0';
+      *p_++ = 'x';
+      p_ = std::to_chars(p_, p_ + kField, x, std::chars_format::hex).ptr;
     } else {
-      out += static_cast<char>(c);
+      p_ += std::snprintf(p_, kField + 1, "%a", x);
     }
   }
-  if (out == "-") return "%2d";
-  return out;
+
+  void put(const Rating& r) {
+    put(r.time);
+    put(' ');
+    put(r.value);
+    put(' ');
+    put(r.rater);
+    put(' ');
+    put(r.product);
+    put(' ');
+    put(static_cast<unsigned>(r.label));
+  }
+
+  /// Quarantine detail strings are free text (spaces, anything ingest put
+  /// there); on the wire they must be a single whitespace-free token.
+  /// Percent-escaping: '%', whitespace, control, and non-ASCII bytes become
+  /// %XX; the empty string is spelled `-` (and a literal "-" is escaped so
+  /// the spelling stays unambiguous). Round-trips byte-exactly.
+  void put_detail(std::string_view detail) {
+    if (detail.empty()) return put('-');
+    if (detail == "-") return put("%2d");
+    constexpr char kHex[] = "0123456789abcdef";
+    for (const char c : detail) {
+      const auto byte = static_cast<unsigned char>(c);
+      if (byte <= 0x20 || byte >= 0x7F || byte == '%') {
+        room(3);
+        *p_++ = '%';
+        *p_++ = kHex[byte >> 4];
+        *p_++ = kHex[byte & 0xFu];
+      } else {
+        put(c);
+      }
+    }
+  }
+
+  void begin_section() {
+    flush();
+    section_start_ = out_.size();
+  }
+
+  /// Closes the open section: appends the `crc <name> <hex8>` line whose
+  /// checksum covers exactly the section's bytes.
+  void end_section(std::string_view name) {
+    flush();
+    line("crc", name,
+         crc32c_hex(crc32c(std::string_view(out_).substr(section_start_))));
+    begin_section();
+  }
+
+  /// `filecrc <hex8>` over every byte so far, then the trailing `end`.
+  void finish() {
+    flush();
+    line("filecrc", crc32c_hex(crc32c(out_)));
+    line("end");
+    flush();
+  }
+
+ private:
+  /// Room a numeric field may need: the longest double spelling,
+  /// "-0x1.fffffffffffffp+1023", is 24 bytes; a u64 is at most 20.
+  static constexpr std::size_t kField = 32;
+
+  void room(std::size_t n) {
+    if (static_cast<std::size_t>(buf_ + sizeof buf_ - p_) < n) flush();
+  }
+
+  void flush() {
+    out_.append(buf_, static_cast<std::size_t>(p_ - buf_));
+    p_ = buf_;
+  }
+
+  std::string& out_;
+  std::size_t section_start_ = 0;
+  char buf_[4096];
+  char* p_ = buf_;
+};
+
+using PendingRef = std::pair<ProductId, const RatingSeries*>;
+using RetainedRef = std::pair<ProductId, const std::vector<RatingSeries>*>;
+
+/// Appends one `pending`-shaped product map (used for both the global v3
+/// section body and each shard's slice of it in v4).
+void write_pending_body(TextWriter& w, const std::vector<PendingRef>& pending) {
+  w.line("pending", pending.size());
+  for (const auto& [product, series] : pending) {
+    w.line(product, series->size());
+    for (const Rating& r : *series) w.line(r);
+  }
+}
+
+void write_retained_body(TextWriter& w,
+                         const std::vector<RetainedRef>& retained) {
+  w.line("retained", retained.size());
+  for (const auto& [product, epochs] : retained) {
+    w.line(product, epochs->size());
+    for (const RatingSeries& epoch : *epochs) {
+      w.line(epoch.size());
+      for (const Rating& r : epoch) w.line(r);
+    }
+  }
+}
+
+/// Upper-bound-ish size of the rendered text, so the output string is
+/// reserved once: a rating line is ~50 bytes and at most 76.
+std::size_t estimate_size(const StreamSnapshot& s) {
+  std::size_t lines = s.buffer.size() + s.seen.size() + s.quarantine.size() +
+                      s.trust.size() + s.pending.size() + s.retained.size();
+  std::size_t detail_bytes = 0;
+  for (const QuarantinedRating& q : s.quarantine) {
+    detail_bytes += 3 * q.detail.size();
+  }
+  for (const auto& [product, series] : s.pending) lines += series.size();
+  for (const auto& [product, epochs] : s.retained) {
+    lines += epochs.size();
+    for (const RatingSeries& epoch : epochs) lines += epoch.size();
+  }
+  return 4096 + 64 * (lines + s.health.size() + s.shard_skipped_cells.size()) +
+         detail_bytes;
 }
 
 // ---------------------------------------------------------------- reading
 
-/// Whitespace-token reader over the checkpoint stream; every accessor
+/// Whitespace-token reader over the checkpoint text; every accessor
 /// throws CheckpointError with the offending context *and line number* on
 /// malformed input (mirroring the CSV loader's line-numbered errors).
+/// Numbers take a from_chars fast path for the writer's own spelling and
+/// fall back to strtod/strtoull for anything else, so what the format
+/// accepts — and every error message — is exactly what strtod decides.
 class TokenReader {
  public:
-  explicit TokenReader(std::istream& in) : in_(in) {}
+  explicit TokenReader(std::string_view text)
+      : pos_(text.data()), end_(text.data() + text.size()) {}
 
   /// Line (1-based) of the most recently read token.
   std::size_t line() const { return token_line_; }
@@ -76,49 +253,69 @@ class TokenReader {
                           ")");
   }
 
-  std::string next(const char* what) {
-    int c = in_.get();
-    while (c != EOF && std::isspace(c)) {
-      if (c == '\n') ++line_;
-      c = in_.get();
+  std::string_view next(const char* what) {
+    while (pos_ != end_ && is_space(*pos_)) {
+      if (*pos_ == '\n') ++line_;
+      ++pos_;
     }
     token_line_ = line_;
-    if (c == EOF) {
+    if (pos_ == end_) {
       fail(std::string("checkpoint truncated: expected ") + what);
     }
-    std::string token(1, static_cast<char>(c));
-    for (c = in_.get(); c != EOF && !std::isspace(c); c = in_.get()) {
-      token += static_cast<char>(c);
-    }
-    if (c == '\n') ++line_;
-    return token;
+    const char* const start = pos_;
+    while (pos_ != end_ && !is_space(*pos_)) ++pos_;
+    return {start, static_cast<std::size_t>(pos_ - start)};
   }
 
   void expect(const char* keyword) {
-    const std::string token = next(keyword);
+    const std::string_view token = next(keyword);
     if (token != keyword) {
       fail(std::string("checkpoint corrupt: expected '") + keyword +
-           "', found '" + token + "'");
+           "', found '" + std::string(token) + "'");
     }
   }
 
   double read_double(const char* what) {
-    const std::string token = next(what);
+    const std::string_view token = next(what);
+    const char* first = token.data();
+    const char* const last = first + token.size();
+    const bool negative = *first == '-';
+    if (negative) ++first;
+    // Fast path: [-]0x<hex digit>... handed to from_chars without the
+    // prefix (and sign); taken only when it converts the whole token.
+    if (last - first > 2 && first[0] == '0' && first[1] == 'x' &&
+        hex_value(first[2]) >= 0) {
+      double value;
+      const auto [ptr, ec] =
+          std::from_chars(first + 2, last, value, std::chars_format::hex);
+      if (ec == std::errc() && ptr == last) return negative ? -value : value;
+    }
+    const std::string copy(token);
     char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0') {
-      fail(std::string("checkpoint corrupt: bad number '") + token + "' for " +
+    const double value = std::strtod(copy.c_str(), &end);
+    if (end == copy.c_str() || *end != '\0') {
+      fail(std::string("checkpoint corrupt: bad number '") + copy + "' for " +
            what);
     }
     return value;
   }
 
   std::size_t read_size(const char* what) {
-    const std::string token = next(what);
+    const std::string_view token = next(what);
+    // Fast path: up to 19 decimal digits cannot overflow 64 bits.
+    if (token.size() <= 19) {
+      std::uint64_t value = 0;
+      std::size_t i = 0;
+      for (; i < token.size() && is_digit(token[i]); ++i) {
+        value = value * 10 + static_cast<std::uint64_t>(token[i] - '0');
+      }
+      if (i == token.size()) return static_cast<std::size_t>(value);
+    }
+    const std::string copy(token);
     char* end = nullptr;
-    const unsigned long long value = std::strtoull(token.c_str(), &end, 10);
-    if (end == token.c_str() || *end != '\0' || token.front() == '-') {
-      fail(std::string("checkpoint corrupt: bad count '") + token + "' for " +
+    const unsigned long long value = std::strtoull(copy.c_str(), &end, 10);
+    if (end == copy.c_str() || *end != '\0' || copy.front() == '-') {
+      fail(std::string("checkpoint corrupt: bad count '") + copy + "' for " +
            what);
     }
     return static_cast<std::size_t>(value);
@@ -146,9 +343,9 @@ class TokenReader {
     return r;
   }
 
-  /// Inverse of escape_detail.
+  /// Inverse of TextWriter::put_detail.
   std::string read_detail() {
-    const std::string token = next("quarantine detail");
+    const std::string_view token = next("quarantine detail");
     if (token == "-") return {};
     std::string out;
     out.reserve(token.size());
@@ -157,13 +354,13 @@ class TokenReader {
         out += token[i];
         continue;
       }
-      if (i + 2 >= token.size() || !std::isxdigit(token[i + 1]) ||
-          !std::isxdigit(token[i + 2])) {
-        fail("checkpoint corrupt: bad escape in quarantine detail '" + token +
-             "'");
+      if (i + 2 >= token.size() || hex_value(token[i + 1]) < 0 ||
+          hex_value(token[i + 2]) < 0) {
+        fail("checkpoint corrupt: bad escape in quarantine detail '" +
+             std::string(token) + "'");
       }
-      const char hex[3] = {token[i + 1], token[i + 2], '\0'};
-      out += static_cast<char>(std::strtoul(hex, nullptr, 16));
+      out += static_cast<char>(16 * hex_value(token[i + 1]) +
+                               hex_value(token[i + 2]));
       i += 2;
     }
     return out;
@@ -172,18 +369,19 @@ class TokenReader {
   /// Consumes a `crc <name> <hex8>` line (v3+). The checksum itself was
   /// verified against the raw bytes before parsing began; this enforces
   /// only that the line is structurally where the format says it is.
-  void consume_crc(const std::string& section) {
+  void consume_crc(std::string_view section) {
     expect("crc");
-    const std::string name = next("crc section name");
+    const std::string_view name = next("crc section name");
     if (name != section) {
-      fail(std::string("checkpoint corrupt: crc line names section '") + name +
-           "', expected '" + section + "'");
+      fail(std::string("checkpoint corrupt: crc line names section '") +
+           std::string(name) + "', expected '" + std::string(section) + "'");
     }
     next("crc value");
   }
 
  private:
-  std::istream& in_;
+  const char* pos_;
+  const char* end_;
   std::size_t line_ = 1;
   std::size_t token_line_ = 1;
 };
@@ -194,43 +392,44 @@ class TokenReader {
 /// after the header line for the first section) up to the start of the crc
 /// line. filecrc covers everything from the first byte up to the start of
 /// the filecrc line. Throws CheckpointError naming the section and line.
-void verify_section_checksums(const std::string& text) {
+void verify_section_checksums(std::string_view text) {
+  const auto matches = [](std::uint32_t crc, std::string_view hex) {
+    return hex == crc32c_hex(crc);
+  };
   std::size_t line_start = 0;
   std::size_t line_number = 0;
-  std::size_t section_start = std::string::npos;  // set after the header line
+  std::size_t section_start = std::string_view::npos;  // set after the header
   bool file_checked = false;
   while (line_start < text.size()) {
     std::size_t line_end = text.find('\n', line_start);
-    if (line_end == std::string::npos) line_end = text.size();
+    if (line_end == std::string_view::npos) line_end = text.size();
     ++line_number;
-    const std::string_view line(text.data() + line_start,
-                                line_end - line_start);
+    const std::string_view line =
+        text.substr(line_start, line_end - line_start);
+    std::size_t at = 0;
     if (line_number == 1) {
       section_start = line_end + 1;  // first section begins after the header
-    } else if (line.rfind("crc ", 0) == 0) {
-      std::istringstream fields{std::string(line)};
-      std::string keyword, name, hex;
-      fields >> keyword >> name >> hex;
-      if (section_start == std::string::npos || section_start > line_start) {
+    } else if (line.starts_with("crc ")) {
+      next_field(line, at);
+      const std::string_view name = next_field(line, at);
+      const std::string_view hex = next_field(line, at);
+      if (section_start == std::string_view::npos ||
+          section_start > line_start) {
         throw CheckpointError("checkpoint corrupt: stray crc line (line " +
                               std::to_string(line_number) + ")");
       }
-      const std::uint32_t actual = crc32c(
-          std::string_view(text.data() + section_start,
-                           line_start - section_start));
-      if (crc32c_hex(actual) != hex) {
-        throw CheckpointError("checkpoint corrupt: section '" + name +
+      if (!matches(crc32c(text.substr(section_start,
+                                      line_start - section_start)),
+                   hex)) {
+        throw CheckpointError("checkpoint corrupt: section '" +
+                              std::string(name) +
                               "' fails its checksum (crc line " +
                               std::to_string(line_number) + ")");
       }
       section_start = line_end + 1;
-    } else if (line.rfind("filecrc ", 0) == 0) {
-      std::istringstream fields{std::string(line)};
-      std::string keyword, hex;
-      fields >> keyword >> hex;
-      const std::uint32_t actual =
-          crc32c(std::string_view(text.data(), line_start));
-      if (crc32c_hex(actual) != hex) {
+    } else if (line.starts_with("filecrc ")) {
+      next_field(line, at);
+      if (!matches(crc32c(text.substr(0, line_start)), next_field(line, at))) {
         throw CheckpointError(
             "checkpoint corrupt: whole-file checksum mismatch (filecrc line " +
             std::to_string(line_number) + ")");
@@ -245,155 +444,6 @@ void verify_section_checksums(const std::string& text) {
   }
 }
 
-/// Appends one `pending`-shaped product map (used for both the global v3
-/// section body and each shard's slice of it in v4).
-template <typename Iter>
-void write_pending_body(std::ostream& sec, Iter begin, Iter end,
-                        std::size_t count) {
-  sec << "pending " << count << '\n';
-  for (Iter it = begin; it != end; ++it) {
-    sec << it->first << ' ' << it->second->size() << '\n';
-    for (const Rating& r : *it->second) write_rating(sec, r);
-  }
-}
-
-template <typename Iter>
-void write_retained_body(std::ostream& sec, Iter begin, Iter end,
-                         std::size_t count) {
-  sec << "retained " << count << '\n';
-  for (Iter it = begin; it != end; ++it) {
-    sec << it->first << ' ' << it->second->size() << '\n';
-    for (const RatingSeries& epoch : *it->second) {
-      sec << epoch.size() << '\n';
-      for (const Rating& r : epoch) write_rating(sec, r);
-    }
-  }
-}
-
-std::string render_checkpoint(const StreamSnapshot& s, int version) {
-  TRUSTRATE_EXPECTS(version == kCheckpointVersion ||
-                        version == kShardedCheckpointVersion,
-                    "write_checkpoint renders version 3 or 4 only");
-  std::string text =
-      "trustrate-checkpoint " + std::to_string(version) + "\n";
-  std::ostringstream sec;
-  // Closes the open section: appends its bytes plus the `crc` line whose
-  // checksum covers exactly those bytes.
-  const auto end_section = [&text, &sec](const std::string& name) {
-    const std::string body = sec.str();
-    text += body;
-    text += "crc " + name + ' ' + crc32c_hex(crc32c(body)) + '\n';
-    sec.str({});
-  };
-
-  sec << "config " << format_double(s.epoch_days) << ' '
-      << s.retention_epochs << ' '
-      << format_double(s.ingest_config.max_lateness_days) << ' '
-      << s.ingest_config.max_quarantine << '\n';
-  end_section("config");
-
-  sec << "anchor " << (s.anchored ? 1 : 0) << ' '
-      << format_double(s.epoch_start) << ' ' << format_double(s.last_time)
-      << ' ' << s.epochs_closed << ' ' << s.skipped_empty_epochs << ' '
-      << s.system_epochs << '\n';
-  end_section("anchor");
-
-  sec << "stats " << s.stats.submitted << ' ' << s.stats.accepted << ' '
-      << s.stats.reordered << ' ' << s.stats.duplicates << ' '
-      << s.stats.dropped_late << ' ' << s.stats.malformed << ' '
-      << s.stats.quarantined << '\n';
-  end_section("stats");
-
-  sec << "health " << s.health.size();
-  for (EpochHealth h : s.health) {
-    sec << ' ' << static_cast<unsigned>(h);
-  }
-  sec << '\n';
-  end_section("health");
-
-  sec << "ingest " << (s.ingest_anchored ? 1 : 0) << ' '
-      << format_double(s.ingest_max_time) << '\n';
-  sec << "buffer " << s.buffer.size() << '\n';
-  for (const Rating& r : s.buffer) write_rating(sec, r);
-  sec << "seen " << s.seen.size() << '\n';
-  for (const auto& [time, rater, product, value] : s.seen) {
-    sec << format_double(time) << ' ' << rater << ' ' << product << ' '
-        << format_double(value) << '\n';
-  }
-  sec << "quarantine " << s.quarantine.size() << '\n';
-  for (const QuarantinedRating& q : s.quarantine) {
-    sec << static_cast<unsigned>(q.reason) << ' ' << format_double(q.rating.time)
-        << ' ' << format_double(q.rating.value) << ' ' << q.rating.rater
-        << ' ' << q.rating.product << ' '
-        << static_cast<unsigned>(q.rating.label) << ' '
-        << escape_detail(q.detail) << '\n';
-  }
-  end_section("ingest");
-
-  // Sorted (product, payload) views shared by both layouts.
-  using PendingRef = std::pair<ProductId, const RatingSeries*>;
-  using RetainedRef = std::pair<ProductId, const std::vector<RatingSeries>*>;
-  std::vector<PendingRef> pending;
-  pending.reserve(s.pending.size());
-  for (const auto& [product, series] : s.pending) {
-    pending.push_back({product, &series});
-  }
-  std::vector<RetainedRef> retained;
-  retained.reserve(s.retained.size());
-  for (const auto& [product, epochs] : s.retained) {
-    retained.push_back({product, &epochs});
-  }
-
-  if (version == kShardedCheckpointVersion) {
-    // `layout N skip0 .. skipN-1`: the saved shard count and its per-shard
-    // skipped-cell diagnostics. An unsharded snapshot writes as one shard.
-    const std::size_t shards = s.shards == 0 ? 1 : s.shards;
-    sec << "layout " << shards;
-    for (std::size_t k = 0; k < shards; ++k) {
-      sec << ' '
-          << (k < s.shard_skipped_cells.size() ? s.shard_skipped_cells[k] : 0);
-    }
-    sec << '\n';
-    end_section("layout");
-
-    // One section per shard: the shard's slice of pending/retained, in
-    // global sorted-product order (stable partition of a sorted list).
-    for (std::size_t k = 0; k < shards; ++k) {
-      std::vector<PendingRef> shard_pending;
-      for (const PendingRef& p : pending) {
-        if (shard::shard_of(p.first, shards) == k) shard_pending.push_back(p);
-      }
-      std::vector<RetainedRef> shard_retained;
-      for (const RetainedRef& r : retained) {
-        if (shard::shard_of(r.first, shards) == k) shard_retained.push_back(r);
-      }
-      sec << "shard " << k << '\n';
-      write_pending_body(sec, shard_pending.begin(), shard_pending.end(),
-                         shard_pending.size());
-      write_retained_body(sec, shard_retained.begin(), shard_retained.end(),
-                          shard_retained.size());
-      end_section("shard" + std::to_string(k));
-    }
-  } else {
-    write_pending_body(sec, pending.begin(), pending.end(), pending.size());
-    end_section("pending");
-    write_retained_body(sec, retained.begin(), retained.end(),
-                        retained.size());
-    end_section("retained");
-  }
-
-  sec << "trust " << s.trust.size() << '\n';
-  for (const auto& [id, record] : s.trust) {
-    sec << id << ' ' << format_double(record.successes) << ' '
-        << format_double(record.failures) << '\n';
-  }
-  end_section("trust");
-
-  text += "filecrc " + crc32c_hex(crc32c(text)) + "\n";
-  text += "end\n";
-  return text;
-}
-
 /// Parses one `pending ...` body into the (global) snapshot map, failing on
 /// a product that already has pending state (a cross-shard duplicate).
 void parse_pending_body(TokenReader& reader, StreamSnapshot& s) {
@@ -402,12 +452,13 @@ void parse_pending_body(TokenReader& reader, StreamSnapshot& s) {
   for (std::size_t i = 0; i < pending_products; ++i) {
     const auto product =
         static_cast<ProductId>(reader.read_size("pending product"));
-    if (s.pending.contains(product)) {
+    const auto [slot, inserted] = s.pending.try_emplace(product);
+    if (!inserted) {
       reader.fail("checkpoint corrupt: product " + std::to_string(product) +
                   " pending in two shards");
     }
     const std::size_t count = reader.read_size("pending count");
-    RatingSeries& series = s.pending[product];
+    RatingSeries& series = slot->second;
     series.reserve(count);
     for (std::size_t k = 0; k < count; ++k) {
       series.push_back(reader.read_rating());
@@ -421,28 +472,50 @@ void parse_retained_body(TokenReader& reader, StreamSnapshot& s) {
   for (std::size_t i = 0; i < retained_products; ++i) {
     const auto product =
         static_cast<ProductId>(reader.read_size("retained product"));
-    if (s.retained.contains(product)) {
+    const auto [slot, inserted] = s.retained.try_emplace(product);
+    if (!inserted) {
       reader.fail("checkpoint corrupt: product " + std::to_string(product) +
                   " retained in two shards");
     }
     const std::size_t epochs = reader.read_size("retained epochs");
-    auto& slot = s.retained[product];
-    slot.resize(epochs);
-    for (std::size_t e = 0; e < epochs; ++e) {
+    slot->second.resize(epochs);
+    for (RatingSeries& epoch : slot->second) {
       const std::size_t count = reader.read_size("retained epoch count");
-      slot[e].reserve(count);
+      epoch.reserve(count);
       for (std::size_t k = 0; k < count; ++k) {
-        slot[e].push_back(reader.read_rating());
+        epoch.push_back(reader.read_rating());
       }
     }
   }
+}
+
+/// Reads an istream to its end into one string, sized up front when the
+/// stream can report its length.
+std::string read_all(std::istream& in) {
+  std::string text;
+  std::streambuf* const buf = in.rdbuf();
+  if (buf == nullptr) return text;
+  const auto here = buf->pubseekoff(0, std::ios::cur, std::ios::in);
+  const auto end = buf->pubseekoff(0, std::ios::end, std::ios::in);
+  if (here != std::streampos(-1) && end != std::streampos(-1) && end > here &&
+      buf->pubseekpos(here, std::ios::in) == here) {
+    text.resize(static_cast<std::size_t>(end - here));
+    text.resize(static_cast<std::size_t>(
+        buf->sgetn(text.data(), static_cast<std::streamsize>(text.size()))));
+  }
+  char chunk[1 << 16];
+  for (std::streamsize n; (n = buf->sgetn(chunk, sizeof chunk)) > 0;) {
+    text.append(chunk, static_cast<std::size_t>(n));
+  }
+  return text;
 }
 
 }  // namespace
 
 /// Grants the checkpoint serializer access to the streaming internals; this
 /// is the single place that knows how to move state in and out of a live
-/// stream (the wire format itself lives in render/parse above).
+/// stream (the wire format itself lives in render_checkpoint and
+/// parse_checkpoint below).
 struct CheckpointAccess {
   static StreamSnapshot take(const StreamingRatingSystem& s) {
     StreamSnapshot snap;
@@ -666,21 +739,23 @@ StreamingRatingSystem restore_stream(const StreamSnapshot& snapshot,
   return CheckpointAccess::restore(snapshot, config);
 }
 
-StreamSnapshot parse_checkpoint(const std::string& text) {
+StreamSnapshot parse_checkpoint(std::string_view text) {
   // Header peek: the version decides whether checksums exist to verify
-  // before token parsing starts.
+  // before token parsing starts. Like an extracting >>, the peek reads
+  // the version's leading number and ignores what follows it.
   {
-    std::istringstream header(text);
-    std::string magic;
-    std::size_t version = 0;
-    if ((header >> magic >> version) && magic == "trustrate-checkpoint" &&
-        version >= 3) {
+    std::size_t at = 0;
+    const std::string_view magic = next_field(text, at);
+    const std::string version(next_field(text, at));
+    char* end = nullptr;
+    const unsigned long long number = std::strtoull(version.c_str(), &end, 10);
+    if (magic == "trustrate-checkpoint" && end != version.c_str() &&
+        number != ULLONG_MAX && number >= 3) {
       verify_section_checksums(text);
     }
   }
 
-  std::istringstream in(text);
-  TokenReader reader(in);
+  TokenReader reader(text);
   reader.expect("trustrate-checkpoint");
   const std::size_t version = reader.read_size("version");
   if (version < 1 ||
@@ -822,9 +897,119 @@ StreamSnapshot parse_checkpoint(const std::string& text) {
   return s;
 }
 
+std::string render_checkpoint(const StreamSnapshot& s, int version) {
+  TRUSTRATE_EXPECTS(version == kCheckpointVersion ||
+                        version == kShardedCheckpointVersion,
+                    "render_checkpoint renders version 3 or 4 only");
+  std::string text;
+  text.reserve(estimate_size(s));
+  TextWriter w(text);
+  w.line("trustrate-checkpoint", version);
+  w.begin_section();
+
+  w.line("config", s.epoch_days, s.retention_epochs,
+         s.ingest_config.max_lateness_days, s.ingest_config.max_quarantine);
+  w.end_section("config");
+
+  w.line("anchor", s.anchored, s.epoch_start, s.last_time, s.epochs_closed,
+         s.skipped_empty_epochs, s.system_epochs);
+  w.end_section("anchor");
+
+  w.line("stats", s.stats.submitted, s.stats.accepted, s.stats.reordered,
+         s.stats.duplicates, s.stats.dropped_late, s.stats.malformed,
+         s.stats.quarantined);
+  w.end_section("stats");
+
+  w.put("health ");
+  w.put(s.health.size());
+  for (const EpochHealth h : s.health) {
+    w.put(' ');
+    w.put(static_cast<unsigned>(h));
+  }
+  w.put('\n');
+  w.end_section("health");
+
+  w.line("ingest", s.ingest_anchored, s.ingest_max_time);
+  w.line("buffer", s.buffer.size());
+  for (const Rating& r : s.buffer) w.line(r);
+  w.line("seen", s.seen.size());
+  for (const auto& [time, rater, product, value] : s.seen) {
+    w.line(time, rater, product, value);
+  }
+  w.line("quarantine", s.quarantine.size());
+  for (const QuarantinedRating& q : s.quarantine) {
+    w.put(static_cast<unsigned>(q.reason));
+    w.put(' ');
+    w.put(q.rating);
+    w.put(' ');
+    w.put_detail(q.detail);
+    w.put('\n');
+  }
+  w.end_section("ingest");
+
+  // Sorted (product, payload) views shared by both layouts.
+  std::vector<PendingRef> pending;
+  pending.reserve(s.pending.size());
+  for (const auto& [product, series] : s.pending) {
+    pending.push_back({product, &series});
+  }
+  std::vector<RetainedRef> retained;
+  retained.reserve(s.retained.size());
+  for (const auto& [product, epochs] : s.retained) {
+    retained.push_back({product, &epochs});
+  }
+
+  if (version == kShardedCheckpointVersion) {
+    // `layout N skip0 .. skipN-1`: the saved shard count and its per-shard
+    // skipped-cell diagnostics. An unsharded snapshot writes as one shard.
+    const std::size_t shards = s.shards == 0 ? 1 : s.shards;
+    w.put("layout ");
+    w.put(shards);
+    for (std::size_t k = 0; k < shards; ++k) {
+      w.put(' ');
+      w.put(k < s.shard_skipped_cells.size() ? s.shard_skipped_cells[k] : 0);
+    }
+    w.put('\n');
+    w.end_section("layout");
+
+    // One section per shard: the shard's slice of pending/retained, in
+    // global sorted-product order (stable partition of a sorted list).
+    std::vector<PendingRef> shard_pending;
+    std::vector<RetainedRef> shard_retained;
+    for (std::size_t k = 0; k < shards; ++k) {
+      shard_pending.clear();
+      for (const PendingRef& p : pending) {
+        if (shard::shard_of(p.first, shards) == k) shard_pending.push_back(p);
+      }
+      shard_retained.clear();
+      for (const RetainedRef& r : retained) {
+        if (shard::shard_of(r.first, shards) == k) shard_retained.push_back(r);
+      }
+      w.line("shard", k);
+      write_pending_body(w, shard_pending);
+      write_retained_body(w, shard_retained);
+      w.end_section("shard" + std::to_string(k));
+    }
+  } else {
+    write_pending_body(w, pending);
+    w.end_section("pending");
+    write_retained_body(w, retained);
+    w.end_section("retained");
+  }
+
+  w.line("trust", s.trust.size());
+  for (const auto& [id, record] : s.trust) {
+    w.line(id, record.successes, record.failures);
+  }
+  w.end_section("trust");
+  w.finish();
+  return text;
+}
+
 void write_checkpoint(const StreamSnapshot& snapshot, int version,
                       std::ostream& out) {
-  out << render_checkpoint(snapshot, version);
+  const std::string text = render_checkpoint(snapshot, version);
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 void save_checkpoint(const StreamingRatingSystem& stream, std::ostream& out) {
@@ -833,9 +1018,7 @@ void save_checkpoint(const StreamingRatingSystem& stream, std::ostream& out) {
 
 StreamingRatingSystem load_checkpoint(std::istream& in,
                                       const SystemConfig& config) {
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return restore_stream(parse_checkpoint(buffer.str()), config);
+  return restore_stream(parse_checkpoint(read_all(in)), config);
 }
 
 // Sharded checkpoint entry points live here because CheckpointAccess is the
@@ -859,9 +1042,7 @@ std::unique_ptr<shard::ShardedRatingSystem> shard::ShardedRatingSystem::
 
 std::unique_ptr<shard::ShardedRatingSystem> shard::ShardedRatingSystem::load(
     std::istream& in, const SystemConfig& config, ShardOptions options) {
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return CheckpointAccess::restore_sharded(parse_checkpoint(buffer.str()),
+  return CheckpointAccess::restore_sharded(parse_checkpoint(read_all(in)),
                                            config, std::move(options));
 }
 

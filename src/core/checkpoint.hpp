@@ -47,6 +47,7 @@
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "core/streaming.hpp"
 
@@ -127,13 +128,20 @@ StreamingRatingSystem restore_stream(const StreamSnapshot& snapshot,
 /// Parses checkpoint bytes of any supported version (1–4) into a snapshot,
 /// verifying every checksum first for v3+. Throws CheckpointError with the
 /// offending line on truncation, corruption, or an unknown version.
-StreamSnapshot parse_checkpoint(const std::string& text);
+/// Numbers in the writer's own hexfloat/decimal spelling convert through
+/// std::from_chars; any other spelling is decided by strtod/strtoull, the
+/// rules the format has always accepted (DESIGN.md §10).
+StreamSnapshot parse_checkpoint(std::string_view text);
 
 /// Renders a snapshot as checkpoint bytes. `version` must be
 /// kCheckpointVersion (global pending/retained sections; any shard layout
 /// is collapsed) or kShardedCheckpointVersion (layout + per-shard
 /// sections; an unsharded snapshot writes as one shard). Deterministic:
-/// equal snapshots produce byte-identical output.
+/// equal snapshots produce byte-identical output. The text is built in one
+/// reserved string, checksummed in place, with no iostream involved.
+std::string render_checkpoint(const StreamSnapshot& snapshot, int version);
+
+/// render_checkpoint, written to `out`.
 void write_checkpoint(const StreamSnapshot& snapshot, int version,
                       std::ostream& out);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <utility>
 
 #include "core/checkpoint.hpp"
@@ -137,8 +136,8 @@ void DurableStream::recover(const SystemConfig& config, double epoch_days,
   std::uint64_t replay_from = 0;
   for (const auto& [lsn, path] : checkpoints) {
     try {
-      std::istringstream in(stable_read_file(path, io_env()));
-      stream_.emplace(load_checkpoint(in, config));
+      stream_.emplace(restore_stream(
+          parse_checkpoint(stable_read_file(path, io_env())), config));
       recovery_.loaded_checkpoint = true;
       recovery_.checkpoint_lsn = lsn;
       replay_from = lsn;
@@ -512,9 +511,10 @@ void DurableStream::write_checkpoint_locked() {
   wal_->sync();
   unsynced_ratings_ = 0;
   const std::uint64_t lsn = wal_->next_lsn();
-  std::ostringstream out;
-  save_checkpoint(*stream_, out);
-  atomic_write_file(dir_ / checkpoint_name(lsn), out.str(), io_env());
+  atomic_write_file(dir_ / checkpoint_name(lsn),
+                    render_checkpoint(take_snapshot(*stream_),
+                                      kCheckpointVersion),
+                    io_env());
   prune();
   last_checkpoint_lsn_ = lsn;
   if (checkpoints_written_ != nullptr) checkpoints_written_->add();
@@ -556,6 +556,14 @@ void DurableStream::replay(const WalRecord& record, std::uint64_t lsn) {
             std::to_string(stream_->epochs_closed()));
       }
       break;
+    case WalRecordType::kShardRating:
+    case WalRecordType::kShardFlush:
+      // A sharded stream's record in a plain log: this directory belongs
+      // to a ShardedDurableStream (or was mixed up with one). Replaying
+      // past it would silently drop a submission.
+      throw WalError("plain WAL holds a sharded record type " +
+                     std::to_string(static_cast<int>(record.type)) +
+                     " at record " + std::to_string(lsn));
   }
 }
 

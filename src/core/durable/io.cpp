@@ -7,6 +7,7 @@
 
 #ifndef _WIN32
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 #endif
 
@@ -232,6 +233,12 @@ std::string read_file(const std::filesystem::path& path, const IoEnv& env) {
   } while (fd < 0 && errno == EINTR);
   if (fd < 0) throw_io("open for read", path, errno);
   std::string out;
+  // Sized once from the inode (checkpoints run to tens of MB); the loop
+  // below still reads to EOF, so a size that changed meanwhile is harmless.
+  struct stat st;
+  if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+    out.reserve(static_cast<std::size_t>(st.st_size));
+  }
   char buf[1 << 16];
   while (true) {
     const ssize_t n = ::read(fd, buf, sizeof buf);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <utility>
 
 #include "common/error.hpp"
@@ -452,10 +451,9 @@ void ShardedDurableStream::sync_all() {
 
 void ShardedDurableStream::write_checkpoint_file() {
   const StreamSnapshot snapshot = system_->snapshot();
-  std::ostringstream out;
-  write_checkpoint(snapshot, kShardedCheckpointVersion, out);
   const std::uint64_t seq = snapshot.stats.submitted;
-  atomic_write_file(dir_ / checkpoint_name(seq), out.str());
+  atomic_write_file(dir_ / checkpoint_name(seq),
+                    render_checkpoint(snapshot, kShardedCheckpointVersion));
   last_checkpoint_seq_ = seq;
   std::vector<std::uint64_t> lsns;
   lsns.reserve(writers_.size());

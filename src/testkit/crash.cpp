@@ -71,7 +71,10 @@ CrashSweepResult run_crash_sweep(const Scenario& scenario,
 
   for (std::uint64_t k = options.first;; k += options.stride) {
     const bool past_end = k >= result.total_bytes;
-    const fs::path run_dir = dir / ("k" + std::to_string(k));
+    // Appended rather than "k" + to_string(k): gcc 12 flags that operator+
+    // with a false-positive -Wrestrict.
+    fs::path run_dir = dir / "k";
+    run_dir += std::to_string(k);
     fs::remove_all(run_dir);
 
     CrashInjector injector;

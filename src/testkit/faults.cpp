@@ -177,9 +177,11 @@ FaultSweepResult run_fault_sweep(const Scenario& scenario,
                     " acknowledged rating(s) from the durable cursor");
           }
           // The healed directory must rebuild the identical state cold.
+          DurableOptions reopen_options;
+          reopen_options.fsync = options.fsync;
           DurableStream reopened(run_dir, scenario.config, scenario.epoch_days,
                                  scenario.retention_epochs, scenario.ingest,
-                                 DurableOptions{options.fsync});
+                                 reopen_options);
           if (reopened.acknowledged() != durable.acknowledged() ||
               state_digest(reopened) != reference_state) {
             return fail(audit,

@@ -296,7 +296,7 @@ TEST(Checkpoint, ErrorsCarryLineNumbers) {
   // ...and token-level parse errors (reachable in the unchecksummed v1
   // format) carry the offending token's line number.
   std::string v1 = testkit::downconvert_checkpoint_v1(out.str());
-  v1.replace(v1.find("stats ") + 6, 1, "x");
+  v1[v1.find("stats ") + 6] = 'x';
   std::istringstream bad_token(v1);
   try {
     core::load_checkpoint(bad_token, pipeline_config());

@@ -407,6 +407,35 @@ TEST(DurableStream, UnreachablePrunedLogIsARecoveryError) {
       RecoveryError);
 }
 
+TEST(DurableStream, ShardedRecordInPlainLogFailsRecovery) {
+  // A plain DurableStream directory whose log holds a sharded-stream frame
+  // (kShardRating): recovery must refuse it, naming the record, rather than
+  // skip the submission and still count it as replayed.
+  const fs::path dir = test_dir("plain-holds-sharded");
+  {
+    WalWriter writer(dir, 0, WalOptions{});
+    WalRecord rating;
+    rating.type = WalRecordType::kRating;
+    rating.rating = {1.0, 0.5, 1, 1, RatingLabel::kHonest};
+    writer.append(rating);
+    WalRecord sharded = rating;
+    sharded.type = WalRecordType::kShardRating;
+    sharded.rating.time = 2.0;
+    sharded.seq = 1;
+    writer.append(sharded);
+    writer.sync();
+  }
+  try {
+    DurableStream recovered(dir, pipeline_config(), 30.0, 2, {}, {});
+    FAIL() << "recovered past a sharded record, replayed "
+           << recovered.recovery().replayed_records;
+  } catch (const WalError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("record 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("type 4"), std::string::npos) << what;
+  }
+}
+
 TEST(DurableStream, CheckpointPrunesObsoleteSegmentsAndCheckpoints) {
   const fs::path dir = test_dir("prune");
   DurableOptions options;
