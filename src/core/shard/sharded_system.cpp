@@ -20,8 +20,9 @@ SystemConfig merge_config(SystemConfig config) {
   return config;
 }
 
-/// Spin rounds between watchdog observations in a supervised wait; one
-/// observation round == one deterministic supervision tick.
+/// Spin rounds between watchdog observations in a supervised wait; an
+/// observation round counts as a supervision tick once kSupervisionTickNs
+/// has passed since the last counted one.
 constexpr std::size_t kWaitSpinLimit = 64;
 
 /// Span size for batched ring transfers (worker inbox drain, merge outbox
@@ -784,17 +785,28 @@ void ShardedRatingSystem::supervised_tick() const {
   throw_if_failed();
   const std::uint64_t budget = options_.supervision.stall_ticks;
   if (budget == 0) return;  // watchdog disabled
+  // A round counts only once a full tick period has passed since the last
+  // counted one ended: on a host where a spin round takes nanoseconds, the
+  // budget is still stall_ticks periods of real time.
+  if (obs::monotonic_ns() - last_tick_ns_ < kSupervisionTickNs) return;
   bool all_shards_idle = true;
   for (std::size_t k = 0; k < shards_.size(); ++k) {
     Shard& shard = *shards_[k];
+    // processed (acquire) before heartbeat: the worker bumps the heartbeat
+    // before it publishes processed, so beat >= processed here.
     const std::uint64_t processed =
         shard.events_processed.load(std::memory_order_acquire);
-    if (processed != shard.watch_processed) {
-      shard.watch_processed = processed;
-      shard.stall_age.store(0, std::memory_order_relaxed);
-    } else if (shard.events_pushed.load(std::memory_order_relaxed) >
-               processed) {
+    const std::uint64_t beat = shard.heartbeat.load(std::memory_order_relaxed);
+    const bool mid_event = beat > processed;
+    if (mid_event ||
+        shard.events_pushed.load(std::memory_order_relaxed) > processed) {
       all_shards_idle = false;
+    }
+    // Only a shard still inside the event it had started by the last
+    // counted round ages. A worker between events with work queued has not
+    // started its next event yet — nothing there blocks on a non-empty
+    // inbox — so that is slowness, not a stall.
+    if (mid_event && beat == shard.watch_heartbeat) {
       const std::uint64_t age =
           shard.stall_age.fetch_add(1, std::memory_order_relaxed) + 1;
       if (age >= budget) {
@@ -805,6 +817,7 @@ void ShardedRatingSystem::supervised_tick() const {
         throw_if_failed();
       }
     } else {
+      shard.watch_heartbeat = beat;
       shard.stall_age.store(0, std::memory_order_relaxed);
     }
   }
@@ -830,6 +843,10 @@ void ShardedRatingSystem::supervised_tick() const {
   } else {
     merge_stall_age_.store(0, std::memory_order_relaxed);
   }
+  // Stamped after every read of this round, so an event seen running here
+  // and still running stall_ticks counted rounds later ran for at least
+  // stall_ticks × kSupervisionTickNs, however long a round itself took.
+  last_tick_ns_ = obs::monotonic_ns();
 }
 
 // --------------------------------------------------------------- queries

@@ -69,9 +69,9 @@
 // worker runs under exception containment. A throwing worker marks its
 // shard *poisoned* (the exception_ptr is stashed), emits a poison sentinel
 // downstream, and closes every ring, so no thread can block on a dead
-// peer; a deterministic tick-driven watchdog classifies a shard as
-// *stalled* when its inbox is non-empty but events_processed stops
-// advancing within SupervisionOptions::stall_ticks observation rounds.
+// peer; a tick-driven watchdog classifies a shard as *stalled* when one
+// event it started stays unfinished for SupervisionOptions::stall_ticks
+// supervision ticks (each at least kSupervisionTickNs of monotonic time).
 // Either way the pipeline latches a structured failure: the next public
 // API call throws ShardFailure (common/error.hpp) instead of hanging or
 // aborting, and destruction still joins cleanly because closed rings
@@ -115,18 +115,22 @@ class EpochEngine;
 
 namespace trustrate::core::shard {
 
-/// Watchdog budgets for the threaded pipeline. The supervisor runs on the
-/// coordinator thread and counts deterministic *observation ticks* (one
-/// per submit() plus one per round of any bounded wait — a virtual clock
-/// like the durable layer's VirtualIoClock, no wall time), so stall
-/// classification does not depend on machine speed for whether it fires,
-/// only for how long a tick takes.
+/// Floor of one supervision tick, in obs::monotonic_ns() nanoseconds. The
+/// watchdog runs on the coordinator thread, inside the waits that already
+/// spin (a blocked enqueue, quiesce): every 64 spins it tries an
+/// observation round, and the round counts as a tick only if this long
+/// has passed since the last counted one. No timer thread. Stated bound: a
+/// shard whose every event ends within stall_ticks × kSupervisionTickNs is
+/// never classified, on any host (DESIGN.md §15).
+inline constexpr std::uint64_t kSupervisionTickNs = 100'000;  // 100 µs
+
+/// Watchdog budgets for the threaded pipeline.
 struct SupervisionOptions {
-  /// Consecutive no-progress observation ticks (inbox non-empty, no
-  /// events_processed advance) before a shard is classified as stalled
-  /// and the pipeline fail-stops. 0 disables the watchdog: waits then
-  /// block until the peer makes progress or a failure closes the rings,
-  /// exactly the pre-supervision behavior.
+  /// Consecutive ticks one event may run (started and unfinished) before
+  /// its shard is classified as stalled and the pipeline fail-stops. The
+  /// default, 2^26 ticks, is at least ~1.9 h of wall time. 0 disables the
+  /// watchdog: waits then block until the peer makes progress or a
+  /// failure closes the rings, exactly the pre-supervision behavior.
   std::uint64_t stall_ticks = std::uint64_t{1} << 26;
 };
 
@@ -248,10 +252,10 @@ class ShardedRatingSystem {
 
   /// Blocks until every routed event is consumed and every issued cell is
   /// merged. No-op in inline mode. Safe to call repeatedly. The wait is
-  /// bounded by supervision: if a shard is poisoned, or stops making
-  /// progress for SupervisionOptions::stall_ticks observation rounds,
-  /// this throws ShardFailure naming the wedged shard (inbox depth,
-  /// events pushed vs processed, heartbeat age) instead of hanging.
+  /// bounded by supervision: if a shard is poisoned, or one of its events
+  /// runs for SupervisionOptions::stall_ticks supervision ticks, this
+  /// throws ShardFailure naming the wedged shard (inbox depth, events
+  /// pushed vs processed, heartbeat age) instead of hanging.
   void quiesce() const;
 
   /// True once supervision has latched a failure; every public entry
@@ -384,7 +388,9 @@ class ShardedRatingSystem {
 
     // Supervision (DESIGN.md §15). The worker bumps `heartbeat` when it
     // STARTS an event and events_processed when it finishes, so the
-    // watchdog's diagnostic can tell "between events" from "mid-event".
+    // watchdog can tell "between events" from "mid-event" (only a shard
+    // mid-event ages) and see whether a new event started since its last
+    // tick.
     std::atomic<std::uint64_t> heartbeat{0};
     std::atomic<bool> abort_requested{false};  ///< set when a failure latches
     std::atomic<bool> poisoned{false};
@@ -395,8 +401,8 @@ class ShardedRatingSystem {
     // quiesce/queries to the submit thread). stall_age is atomic only so
     // probe() can read the watchdog's view from the server thread; the
     // coordinator remains its single writer.
-    std::uint64_t watch_processed = 0;  ///< last observed events_processed
-    std::atomic<std::uint64_t> stall_age{0};  ///< consecutive no-progress ticks
+    std::uint64_t watch_heartbeat = 0;  ///< heartbeat at the last counted tick
+    std::atomic<std::uint64_t> stall_age{0};  ///< ticks the current event ran
     std::vector<ShardEvent> staged;     ///< coordinator batch for try_push_n
 
     // Observability (resolved in set_observability; null when off): the
@@ -456,9 +462,10 @@ class ShardedRatingSystem {
   /// Worker-side containment: stash the exception, poison the shard, emit
   /// the poison sentinel, then fail_pipeline.
   void contain_worker_failure(std::size_t k, std::exception_ptr error) noexcept;
-  /// One watchdog observation round (a deterministic virtual-clock tick):
-  /// advances per-shard stall ages, classifies stalls past the budget
-  /// (latching a failure), and throws if the pipeline has failed.
+  /// One watchdog observation round: throws if the pipeline has failed;
+  /// then, if a tick period has passed since the last counted round,
+  /// advances per-shard stall ages and classifies stalls past the budget
+  /// (latching a failure).
   void supervised_tick() const;
   /// Progress counters for shard k, formatted for diagnostics.
   std::string shard_diagnostic(std::size_t k) const;
@@ -530,6 +537,8 @@ class ShardedRatingSystem {
   // const waits; merge_stall_age_ is atomic only for probe() reads).
   mutable std::uint64_t merge_watch_ = 0;
   mutable std::atomic<std::uint64_t> merge_stall_age_{0};
+  /// obs::monotonic_ns() at the end of the last counted supervision tick.
+  mutable std::uint64_t last_tick_ns_ = 0;
 
   obs::Observability obs_;
   obs::Counter* ingest_submitted_ = nullptr;

@@ -57,7 +57,8 @@ struct ShardProbe {
   /// Heartbeat minus processed: 0 between events, 1 mid-event (the
   /// watchdog's mid-event/between-events diagnostic).
   std::uint64_t heartbeat_age = 0;
-  /// Coordinator wait-ticks since this shard last made progress.
+  /// Supervision ticks the shard's current event has been running (0
+  /// between events); see DESIGN.md §15.
   std::uint64_t stall_age = 0;
   QueueProbe inbox;
   QueueProbe outbox;
@@ -83,7 +84,9 @@ struct PipelineProbe {
   std::uint64_t merge_lag = 0;     ///< cells issued - cells merged
   std::uint64_t merge_stall_age = 0;
   std::uint64_t skipped_empty_epochs = 0;
-  std::uint64_t stall_budget = 0;  ///< SupervisionOptions::stall_ticks
+  /// SupervisionOptions::stall_ticks: ticks of at least
+  /// core::shard::kSupervisionTickNs each (0 = watchdog off).
+  std::uint64_t stall_budget = 0;
   std::vector<ShardProbe> shards;
 };
 

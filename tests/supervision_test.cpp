@@ -418,6 +418,40 @@ TEST(Supervision, SlownessIsNotAStall) {
   EXPECT_GT(system.epochs_closed(), 0u);
 }
 
+TEST(Supervision, SlowEventWithinStatedBoundIsNotAStall) {
+  // The stated bound (DESIGN.md §15): a shard whose every event ends
+  // within stall_ticks × kSupervisionTickNs is never classified, on any
+  // host. Under a small budget, one event slowed to half that bound must
+  // complete unclassified.
+  constexpr std::uint64_t kTicks = 200;
+  const std::uint64_t bound_ms =
+      kTicks * core::shard::kSupervisionTickNs / 1'000'000;
+  ThreadFaultPlan plan;
+  plan.shard = 0;
+  plan.at_ordinal = 150;  // late: the coordinator waits in flush() meanwhile
+  plan.kind = ThreadFaultKind::kSlow;
+  plan.slices = bound_ms / 2;  // a kSlow slice is 1 ms
+  ASSERT_GT(plan.slices, 0u);
+  ThreadFaultInjector injector(plan);
+  obs::MemoryAuditSink audit;
+  ShardOptions options;
+  options.shards = 2;
+  options.threaded = true;
+  options.shard_fn = [](ProductId p, std::size_t n) {
+    return static_cast<std::size_t>(p) % n;
+  };
+  options.supervision.stall_ticks = kTicks;
+  options.event_hook = injector.hook();
+  ShardedRatingSystem system(pipeline_config(), options, 30.0, 2, {});
+  system.set_observability({nullptr, nullptr, &audit});
+  const std::optional<ShardFailure> failure = drive(system, wide_stream());
+  EXPECT_FALSE(failure.has_value()) << failure->what();
+  EXPECT_TRUE(injector.fired());
+  EXPECT_FALSE(system.failed());
+  EXPECT_EQ(audit.of_type(obs::AuditEventType::kShardStalled).size(), 0u);
+  EXPECT_GT(system.epochs_closed(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Poison propagation (tentpole: every public entry point throws)
 
