@@ -14,6 +14,12 @@
 // relaxes to a no-regression bound on smaller runners — on a single
 // hardware thread the extra shards only add queue hops and yields).
 //
+// BM_IngestSubmit isolates the classifier every rating crosses first, on
+// the submit thread: IngestBuffer alone (reorder buffer, duplicate
+// horizon, dead letters) on a stream perturbed like perfbench's
+// serve_mixed — a 1-day lateness bound, 3% of ratings displaced by up to
+// 32 arrivals, 2% exact retries, 0.5% stale and 0.5% malformed junk.
+//
 // BM_SpscTransfer isolates the transport: one producer and one consumer
 // thread moving 64-byte payloads through the bounded ring, the hot edge
 // every routed rating crosses twice in threaded mode.
@@ -21,13 +27,16 @@
 
 #include "bench_json.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
+#include <limits>
 #include <thread>
 #include <vector>
 
 #include "common/math.hpp"
 #include "common/rng.hpp"
+#include "core/ingest.hpp"
 #include "core/shard/sharded_system.hpp"
 #include "core/shard/spsc_queue.hpp"
 
@@ -84,6 +93,68 @@ BENCHMARK(BM_ShardedStream)
     ->Args({1, 0})->Args({2, 0})->Args({4, 0})->Args({7, 0})
     ->Args({1, 1})->Args({2, 1})->Args({4, 1})
     ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+/// ~200k arrivals: a time-sorted stream at about 800 ratings per day (the
+/// reorder buffer's serve_mixed occupancy at a 1-day bound), perturbed.
+const RatingSeries& ingest_stream() {
+  static const RatingSeries stream = [] {
+    Rng rng(23);
+    RatingSeries clean;
+    double t = 0.0;
+    for (int i = 0; i < 200000; ++i) {
+      t += 1.0 / 800.0;
+      clean.push_back({t, quantize_unit(clamp_unit(rng.gaussian(0.5, 0.2)), 10,
+                                        false),
+                       static_cast<RaterId>(rng.uniform_int(0, 40000)),
+                       static_cast<ProductId>(rng.uniform_int(0, 200)),
+                       RatingLabel::kHonest});
+    }
+    // Displace 3% of ratings up to 32 positions later (within the bound).
+    for (std::size_t i = 0; i + 33 < clean.size(); ++i) {
+      if (rng.uniform() < 0.03) {
+        const std::size_t to = i + static_cast<std::size_t>(rng.uniform_int(1, 32));
+        std::rotate(clean.begin() + static_cast<std::ptrdiff_t>(i),
+                    clean.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                    clean.begin() + static_cast<std::ptrdiff_t>(to) + 1);
+      }
+    }
+    RatingSeries arrivals;
+    arrivals.reserve(clean.size() * 103 / 100);
+    for (const Rating& r : clean) {
+      arrivals.push_back(r);
+      const double u = rng.uniform();
+      if (u < 0.02) {
+        arrivals.push_back(r);  // exact client retry
+      } else if (u < 0.025) {
+        Rating stale = r;  // two days behind: late
+        stale.time -= 2.0;
+        arrivals.push_back(stale);
+      } else if (u < 0.03) {
+        Rating bad = r;  // malformed
+        bad.value = std::numeric_limits<double>::quiet_NaN();
+        arrivals.push_back(bad);
+      }
+    }
+    return arrivals;
+  }();
+  return stream;
+}
+
+void BM_IngestSubmit(benchmark::State& state) {
+  const RatingSeries& stream = ingest_stream();
+  RatingSeries released;
+  released.reserve(stream.size());
+  for (auto _ : state) {
+    core::IngestBuffer ingest({.max_lateness_days = 1.0});
+    released.clear();
+    for (const Rating& r : stream) ingest.submit(r, released);
+    ingest.drain(released);
+    benchmark::DoNotOptimize(released.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(stream.size()));
+}
+BENCHMARK(BM_IngestSubmit)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_SpscTransfer(benchmark::State& state) {
   using Payload = std::array<std::uint64_t, 8>;  // one cache line, as ShardEvent-ish
@@ -148,8 +219,8 @@ void BM_SpscTransferBatch(benchmark::State& state) {
       while (done < want) {
         const std::size_t pushed = q.try_push_n(out.data() + done, want - done);
         done += pushed;
-        // Same spin-then-yield discipline as the pipeline's producers
-        // (enqueue/flush_staged): a hot retry loop would hammer the
+        // Same spin-then-yield discipline as the pipeline's producer
+        // (span publication): a hot retry loop would hammer the
         // consumer's index line with acquire loads and starve the drain.
         if (pushed == 0 && ++spins >= 64) {
           std::this_thread::yield();

@@ -89,7 +89,7 @@ class IoError : public DataError {
 enum class ShardFailureKind {
   kPoisoned,  ///< a worker threw; its exception is stashed and rethrowable
   kStalled,   ///< the watchdog saw a non-empty inbox with no progress
-  kWedged,    ///< a bounded quiesce/enqueue wait ran out its tick deadline
+  kWedged,    ///< a bounded quiesce/publish wait ran out its tick deadline
 };
 
 constexpr const char* to_string(ShardFailureKind kind) {

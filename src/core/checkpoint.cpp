@@ -510,6 +510,19 @@ std::string read_all(std::istream& in) {
   return text;
 }
 
+/// The classifier part of a snapshot, for IngestBuffer::restore — without
+/// the dead letters, which only the unsharded stream keeps in its
+/// classifier.
+IngestBuffer::State ingest_state(const StreamSnapshot& snap) {
+  IngestBuffer::State state;
+  state.stats = snap.stats;
+  state.anchored = snap.ingest_anchored;
+  state.max_time = snap.ingest_max_time;
+  state.buffer = snap.buffer;
+  state.seen = snap.seen;
+  return state;
+}
+
 }  // namespace
 
 /// Grants the checkpoint serializer access to the streaming internals; this
@@ -521,8 +534,8 @@ struct CheckpointAccess {
     StreamSnapshot snap;
     snap.epoch_days = s.epoch_days_;
     snap.retention_epochs = s.retention_epochs_;
-    const IngestBuffer& ing = s.ingest_;
-    snap.ingest_config = ing.config_;
+    IngestBuffer::State ing = s.ingest_.snapshot();
+    snap.ingest_config = s.ingest_.config();
 
     snap.anchored = s.anchored_;
     snap.epoch_start = s.epoch_start_;
@@ -531,14 +544,14 @@ struct CheckpointAccess {
     snap.skipped_empty_epochs = s.skipped_empty_epochs_;
     snap.system_epochs = s.system_.epochs_processed();
 
-    snap.stats = ing.stats_;
+    snap.stats = ing.stats;
     snap.health = s.epoch_health_;
 
-    snap.ingest_anchored = ing.anchored_;
-    snap.ingest_max_time = ing.max_time_;
-    snap.buffer.assign(ing.buffer_.begin(), ing.buffer_.end());
-    snap.seen.assign(ing.seen_.begin(), ing.seen_.end());
-    snap.quarantine.assign(ing.quarantine_.begin(), ing.quarantine_.end());
+    snap.ingest_anchored = ing.anchored;
+    snap.ingest_max_time = ing.max_time;
+    snap.buffer = std::move(ing.buffer);
+    snap.seen = std::move(ing.seen);
+    snap.quarantine = std::move(ing.quarantine);
 
     for (const auto& [product, series] : s.pending_) {
       snap.pending[product] = series;
@@ -568,13 +581,9 @@ struct CheckpointAccess {
     s.skipped_empty_epochs_ = snap.skipped_empty_epochs;
     s.epoch_health_ = snap.health;
 
-    IngestBuffer& ing = s.ingest_;
-    ing.stats_ = snap.stats;
-    ing.anchored_ = snap.ingest_anchored;
-    ing.max_time_ = snap.ingest_max_time;
-    for (const Rating& r : snap.buffer) ing.buffer_.insert(r);
-    for (const IngestBuffer::SeenKey& key : snap.seen) ing.seen_.insert(key);
-    ing.quarantine_.assign(snap.quarantine.begin(), snap.quarantine.end());
+    IngestBuffer::State ing = ingest_state(snap);
+    ing.quarantine = snap.quarantine;
+    s.ingest_.restore(ing);
 
     for (const auto& [product, series] : snap.pending) {
       s.pending_[product] = series;
@@ -601,8 +610,8 @@ struct CheckpointAccess {
     StreamSnapshot snap;
     snap.epoch_days = sys.epoch_days_;
     snap.retention_epochs = sys.retention_epochs_;
-    const IngestBuffer& ing = sys.ingest_;
-    snap.ingest_config = ing.config_;
+    IngestBuffer::State ing = sys.ingest_.snapshot();
+    snap.ingest_config = sys.ingest_.config();
 
     snap.anchored = sys.anchored_;
     snap.epoch_start = sys.epoch_start_;
@@ -611,13 +620,13 @@ struct CheckpointAccess {
     snap.skipped_empty_epochs = sys.skipped_empty_epochs_;
     snap.system_epochs = sys.merge_.epochs_processed();
 
-    snap.stats = ing.stats_;
+    snap.stats = ing.stats;
     snap.health = sys.epoch_health_;
 
-    snap.ingest_anchored = ing.anchored_;
-    snap.ingest_max_time = ing.max_time_;
-    snap.buffer.assign(ing.buffer_.begin(), ing.buffer_.end());
-    snap.seen.assign(ing.seen_.begin(), ing.seen_.end());
+    snap.ingest_anchored = ing.anchored;
+    snap.ingest_max_time = ing.max_time;
+    snap.buffer = std::move(ing.buffer);
+    snap.seen = std::move(ing.seen);
 
     // The sharded system's quarantine sink bypasses the classifier's own
     // store, so the dead letters live per shard; merge them back into
@@ -675,12 +684,9 @@ struct CheckpointAccess {
     sys->skipped_empty_epochs_ = snap.skipped_empty_epochs;
     sys->epoch_health_ = snap.health;
 
-    IngestBuffer& ing = sys->ingest_;
-    ing.stats_ = snap.stats;
-    ing.anchored_ = snap.ingest_anchored;
-    ing.max_time_ = snap.ingest_max_time;
-    for (const Rating& r : snap.buffer) ing.buffer_.insert(r);
-    for (const IngestBuffer::SeenKey& key : snap.seen) ing.seen_.insert(key);
+    // The dead letters go to the shards' stores (below), not the
+    // classifier's.
+    sys->ingest_.restore(ingest_state(snap));
 
     // Re-partition under the TARGET layout — the snapshot's shard count
     // (or a pre-shard v3 checkpoint with none at all) need not match.

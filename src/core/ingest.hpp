@@ -23,15 +23,25 @@
 //  * a malformed rating (non-finite time/value, value outside [0, 1]) is
 //    *quarantined*.
 //
+// The classifier sits on the serial submit path, so its structures avoid
+// per-rating allocation: the reorder buffer is a flat vector kept sorted by
+// time (an arrival inserts at its upper bound, so ties keep arrival order;
+// releases advance a head index), and the duplicate horizon is an
+// open-addressing hash set whose keys expire lazily. The horizon invariant
+// is: it holds exactly the keys of accepted ratings with time >= watermark.
+// A key behind the watermark may still occupy a slot, but it can never be
+// observed — a rating that old is dropped late before the duplicate check
+// runs, a newer insert may reuse its slot, and snapshot() leaves it out.
+//
 // Classification is in-band — `submit` never throws on bad data — and every
 // outcome is counted in IngestStats so operators can watch the failure
 // rates. The dead-letter list keeps the most recent offenders (bounded by
 // `max_quarantine`) for debugging.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <functional>
-#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -88,9 +98,20 @@ struct QuarantinedRating {
 class IngestBuffer {
  public:
   /// Duplicate-horizon key: (time, rater, product, value). Ordered by time
-  /// first so expired keys form a prefix. Public so checkpoint/snapshot
-  /// code can carry the horizon state around.
+  /// first, which is the order snapshots list the horizon in.
   using SeenKey = std::tuple<double, RaterId, ProductId, double>;
+
+  /// The classifier's state as plain data, in checkpoint (wire) order.
+  struct State {
+    IngestStats stats;
+    bool anchored = false;
+    double max_time = 0.0;
+    std::vector<Rating> buffer;  ///< time order, ties in arrival order
+    std::vector<SeenKey> seen;   ///< accepted keys with time >= watermark, ascending
+    /// The internal dead-letter store, oldest first (empty while a
+    /// quarantine sink is installed: the sink's owner keeps the entries).
+    std::vector<QuarantinedRating> quarantine;
+  };
 
   explicit IngestBuffer(IngestConfig config = {});
 
@@ -110,11 +131,20 @@ class IngestBuffer {
   bool anchored() const { return anchored_; }
 
   /// Ratings accepted but still held for reordering.
-  std::size_t buffered() const { return buffer_.size(); }
+  std::size_t buffered() const { return buffer_.size() - head_; }
 
   const IngestStats& stats() const { return stats_; }
   const std::deque<QuarantinedRating>& quarantine() const { return quarantine_; }
   const IngestConfig& config() const { return config_; }
+
+  /// Copies the state out (checkpoints). The horizon is listed sorted, so
+  /// equal states give equal snapshots whatever the table's slot layout.
+  State snapshot() const;
+
+  /// Replaces the state with `state` (the config is the constructor's).
+  /// Horizon keys behind the restored watermark are dropped, as they would
+  /// have expired.
+  void restore(const State& state);
 
   /// Redirects dead-lettered ratings to `sink` instead of the internal
   /// capped deque. Counters (`quarantined`, `dropped_late`, `malformed`)
@@ -127,10 +157,43 @@ class IngestBuffer {
   }
 
  private:
-  friend struct CheckpointAccess;  ///< checkpoint.cpp serializes the state
+  /// Open-addressing (linear probing) set of horizon keys with lazy
+  /// expiry. A slot is empty (time is NaN — never a valid rating time),
+  /// live (time >= the watermark) or expired. Expired slots stay in the
+  /// probe chains, so no chain is ever cut, and an insert reuses the first
+  /// one its probe passes. Once half the slots are non-empty the table is
+  /// rebuilt with only its live keys, into a spare array of the right size
+  /// — warm inserts do not allocate.
+  class Horizon {
+   public:
+    /// Inserts the key unless an equal one (time and value compared with
+    /// ==, so ±0.0 match) is present; `mark` is the current watermark.
+    /// Returns false for a duplicate.
+    bool insert(const Rating& rating, double mark);
+    /// The live keys (time >= mark), ascending.
+    std::vector<SeenKey> live_keys(double mark) const;
+    void clear();
+
+   private:
+    struct Slot {
+      double time;
+      double value;
+      RaterId rater;
+      ProductId product;
+    };
+    std::size_t home(const Slot& key) const;
+    void rebuild(double mark);
+
+    std::vector<Slot> slots_;
+    std::vector<Slot> spare_;
+    std::size_t used_ = 0;   ///< non-empty slots (live or expired)
+    unsigned shift_ = 64;    ///< 64 − log2(capacity)
+  };
 
   void quarantine_rating(const Rating& rating, IngestClass reason,
                          std::string detail);
+  /// Inserts into the reorder buffer at the upper bound of its time.
+  void buffer_insert(const Rating& rating);
   void release_ready(std::vector<Rating>& released);
 
   IngestConfig config_;
@@ -139,18 +202,13 @@ class IngestBuffer {
   bool anchored_ = false;
   double max_time_ = 0.0;  ///< newest accepted event time (valid when anchored)
 
-  /// Accepted ratings awaiting release, ordered by time (stable for ties).
-  struct TimeLess {
-    bool operator()(const Rating& a, const Rating& b) const {
-      return a.time < b.time;
-    }
-  };
-  std::multiset<Rating, TimeLess> buffer_;
+  /// Accepted ratings awaiting release: buffer_[head_..] sorted by time,
+  /// ties in arrival order. The released prefix is compacted away once it
+  /// is at least as long as what remains.
+  std::vector<Rating> buffer_;
+  std::size_t head_ = 0;
 
-  /// Keys of accepted ratings with time >= watermark (buffer + just-released
-  /// boundary); older keys cannot collide because their duplicates would be
-  /// dropped late anyway.
-  std::set<SeenKey> seen_;
+  Horizon seen_;
 
   std::deque<QuarantinedRating> quarantine_;
   std::function<void(QuarantinedRating&&)> quarantine_sink_;

@@ -25,8 +25,9 @@ SystemConfig merge_config(SystemConfig config) {
 /// has passed since the last counted one.
 constexpr std::size_t kWaitSpinLimit = 64;
 
-/// Span size for batched ring transfers (worker inbox drain, merge outbox
-/// refill): one index handoff per span instead of per event.
+/// Span size for batched ring transfers (submitter inbox publication,
+/// worker inbox drain, merge outbox refill): one index handoff per span
+/// instead of per event.
 constexpr std::size_t kDrainBatch = 32;
 
 /// Folded runs a shard keeps for reuse. Two suffice for a shard one cell
@@ -91,11 +92,13 @@ ShardedRatingSystem::ShardedRatingSystem(SystemConfig config,
     const std::uint64_t seq = ingest_.stats().quarantined;
     const std::size_t k = shard_index(q.rating.product);
     if (threads_running_) {
+      // Staged like a rating, so each shard sees its events in routing
+      // order whenever its span is published.
       ShardEvent e;
       e.type = ShardEvent::Type::kQuarantine;
-      e.dead = std::move(q);
+      e.dead = std::make_unique<QuarantinedRating>(std::move(q));
       e.seq = seq;
-      enqueue(k, std::move(e));
+      stage_event(k, std::move(e));
     } else {
       add_dead_letter(*shards_[k], std::move(q), seq);
     }
@@ -151,7 +154,6 @@ IngestClass ShardedRatingSystem::submit(const Rating& rating) {
     }
   }
   for (const Rating& r : released_) route(r);
-  if (threads_running_) flush_staged();
   current_causal_ = 0;
   update_gauges();
   return result;
@@ -220,17 +222,17 @@ void ShardedRatingSystem::issue_close(double epoch_end) {
   const std::uint64_t cell = cells_issued_++;
   const double cell_start = epoch_start_;
   if (threads_running_) {
-    // Staged ratings for this cell must reach their shards before the
-    // close event does (per-shard FIFO is the only ordering guarantee).
-    flush_staged();
+    // Each close is staged behind its shard's ratings for this cell (per-
+    // shard FIFO is the only ordering guarantee) and goes out at once.
     for (std::size_t k = 0; k < shards_.size(); ++k) {
       ShardEvent e;
       e.type = ShardEvent::Type::kClose;
       e.seq = cell;
-      e.epoch_start = cell_start;
-      e.epoch_end = epoch_end;
-      enqueue(k, std::move(e));
+      e.rating.time = cell_start;
+      e.rating.value = epoch_end;
+      stage_event(k, std::move(e));
     }
+    publish_all();
   } else {
     std::vector<ShardResult> results;
     results.reserve(shards_.size());
@@ -422,7 +424,6 @@ std::size_t ShardedRatingSystem::flush() {
   // newest submission ordinal (the one whose flush released them).
   current_causal_ = static_cast<std::uint64_t>(ingest_.stats().submitted);
   for (const Rating& r : released_) route(r);
-  if (threads_running_) flush_staged();
   if (!anchored_ || pending_count_ == 0) {
     current_causal_ = 0;
     quiesce();
@@ -450,12 +451,24 @@ void ShardedRatingSystem::add_dead_letter(Shard& shard,
 
 // ------------------------------------------------------------- threading
 
-void ShardedRatingSystem::enqueue(std::size_t k, ShardEvent&& event) {
+void ShardedRatingSystem::stage_event(std::size_t k, ShardEvent&& event) {
+  std::vector<ShardEvent>& span = shards_[k]->staged;
+  span.push_back(std::move(event));
+  if (span.size() >= kDrainBatch) publish(k);
+}
+
+void ShardedRatingSystem::publish(std::size_t k) const {
   Shard& shard = *shards_[k];
+  std::vector<ShardEvent>& span = shard.staged;
+  if (span.empty()) return;
+  std::size_t done = 0;
   std::size_t spins = 0;
-  while (!shard.inbox.try_push(std::move(event))) {
+  while (done < span.size()) {
+    done += shard.inbox.try_push_n(span.data() + done, span.size() - done);
+    if (done == span.size()) break;
     if (shard.inbox.closed()) {
       // Closed mid-stream only by a latched failure; surface it.
+      span.clear();
       throw_if_failed();
       return;  // unreachable unless closed during shutdown — drop
     }
@@ -468,40 +481,14 @@ void ShardedRatingSystem::enqueue(std::size_t k, ShardEvent&& event) {
   // Coordinator-owned counter: relaxed is enough (workers only read it
   // for approximate diagnostics).
   shard.events_pushed.store(
-      shard.events_pushed.load(std::memory_order_relaxed) + 1,
+      shard.events_pushed.load(std::memory_order_relaxed) + span.size(),
       std::memory_order_relaxed);
+  span.clear();
 }
 
-void ShardedRatingSystem::stage_event(std::size_t k, ShardEvent&& event) {
-  shards_[k]->staged.push_back(std::move(event));
-}
-
-void ShardedRatingSystem::flush_staged() {
-  for (std::size_t k = 0; k < shards_.size(); ++k) {
-    Shard& shard = *shards_[k];
-    std::vector<ShardEvent>& batch = shard.staged;
-    if (batch.empty()) continue;
-    std::size_t done = 0;
-    std::size_t spins = 0;
-    while (done < batch.size()) {
-      done += shard.inbox.try_push_n(batch.data() + done, batch.size() - done);
-      if (done == batch.size()) break;
-      if (shard.inbox.closed()) {
-        batch.clear();
-        throw_if_failed();
-        return;
-      }
-      if (++spins >= kWaitSpinLimit) {
-        supervised_tick();
-        std::this_thread::yield();
-        spins = 0;
-      }
-    }
-    shard.events_pushed.store(
-        shard.events_pushed.load(std::memory_order_relaxed) + batch.size(),
-        std::memory_order_relaxed);
-    batch.clear();
-  }
+void ShardedRatingSystem::publish_all() const {
+  if (!threads_running_) return;
+  for (std::size_t k = 0; k < shards_.size(); ++k) publish(k);
 }
 
 void ShardedRatingSystem::shard_worker(std::size_t k) {
@@ -538,12 +525,13 @@ void ShardedRatingSystem::shard_worker(std::size_t k) {
             }
             break;
           case ShardEvent::Type::kQuarantine:
-            add_dead_letter(shard, std::move(event.dead), event.seq);
+            add_dead_letter(shard, std::move(*event.dead), event.seq);
+            event.dead.reset();
             break;
           case ShardEvent::Type::kClose:
             if (!shard.outbox.push(analyze_cell(shard, event.seq,
-                                                event.epoch_start,
-                                                event.epoch_end))) {
+                                                event.rating.time,
+                                                event.rating.value))) {
               return;  // outbox closed: the pipeline is coming down
             }
             break;
@@ -623,8 +611,17 @@ void ShardedRatingSystem::start_threads() {
 void ShardedRatingSystem::stop_threads() {
   if (!threads_running_) return;
   if (!pipeline_failed_.load(std::memory_order_acquire)) {
+    // Staged spans go out ahead of the stops, so teardown drops nothing.
+    // A failure latched meanwhile ends the publication; the closes below
+    // then bring the pipeline down as on any failure.
+    try {
+      publish_all();
+    } catch (...) {
+    }
+  }
+  if (!pipeline_failed_.load(std::memory_order_acquire)) {
     // Normal shutdown: a stop event per shard; each worker acknowledges
-    // with a stop sentinel the merger folds. try_push (not enqueue): a
+    // with a stop sentinel the merger folds. try_push (not publish): a
     // failure racing in closes the ring, and then the closes below are
     // the shutdown signal.
     for (std::size_t k = 0; k < shards_.size(); ++k) {
@@ -662,6 +659,7 @@ void ShardedRatingSystem::stop_threads() {
 void ShardedRatingSystem::quiesce() const {
   throw_if_failed();
   if (!threads_running_) return;
+  publish_all();
   for (const auto& shard : shards_) {
     std::size_t spins = 0;
     while (shard->events_processed.load(std::memory_order_acquire) <

@@ -46,11 +46,14 @@
 //    the conformance oracle sweeps — identical results, zero threads.
 //  * threaded: the submit() caller classifies and routes events into one
 //    bounded lock-free SPSC queue per shard (core/shard/spsc_queue.hpp;
-//    a full ring blocks the producer — bounded memory backpressure);
-//    shard workers buffer ratings, then analyze and reduce their slice at
-//    each close; a merge thread folds one result per shard per cell, in
-//    cell order. Pipeline parallelism: shard k can analyze cell c while
-//    the merger folds cell c−1.
+//    a full ring blocks the producer — bounded memory backpressure). It
+//    stages each shard's events and publishes them a span at a time (one
+//    index handoff per 32 events); every close, flush(), quiesce() and
+//    shutdown publishes whatever is staged, so each query still sees
+//    every submitted rating. Shard workers buffer ratings, then analyze
+//    and reduce their slice at each close; a merge thread folds one
+//    result per shard per cell, in cell order. Pipeline parallelism:
+//    shard k can analyze cell c while the merger folds cell c−1.
 //
 // Threading contract: one thread calls submit()/flush(). Query methods
 // (trust, aggregate, stats, health) quiesce first — they wait until every
@@ -117,7 +120,7 @@ namespace trustrate::core::shard {
 
 /// Floor of one supervision tick, in obs::monotonic_ns() nanoseconds. The
 /// watchdog runs on the coordinator thread, inside the waits that already
-/// spin (a blocked enqueue, quiesce): every 64 spins it tries an
+/// spin (a blocked span publication, quiesce): every 64 spins it tries an
 /// observation round, and the round counts as a tick only if this long
 /// has passed since the last counted one. No timer thread. Stated bound: a
 /// shard whose every event ends within stall_ticks × kSupervisionTickNs is
@@ -191,7 +194,8 @@ class ShardedRatingSystem {
 
   /// Classifies and routes one rating; same in-band error policy as
   /// StreamingRatingSystem::submit. In threaded mode the call returns once
-  /// the event is enqueued (or after blocking on a full ring).
+  /// the event is staged (or its span published, after blocking on a full
+  /// ring).
   IngestClass submit(const Rating& rating);
 
   /// Drains the reorder buffer and closes the in-progress epoch regardless
@@ -310,20 +314,25 @@ class ShardedRatingSystem {
     std::uint64_t seq = 0;
   };
 
-  /// Event streamed to a shard worker (threaded mode).
-  struct ShardEvent {
+  /// Event streamed to a shard worker (threaded mode). One cache line:
+  /// the ring moves 64 bytes per event, aligned so no slot straddles two
+  /// lines.
+  struct alignas(64) ShardEvent {
     enum class Type : std::uint8_t { kRating, kQuarantine, kClose, kStop };
-    Type type = Type::kRating;
-    Rating rating;            ///< kRating
-    QuarantinedRating dead;   ///< kQuarantine
-    std::uint64_t seq = 0;    ///< kQuarantine: dead-letter ordinal; kClose: cell
-    double epoch_start = 0.0;  ///< kClose
-    double epoch_end = 0.0;    ///< kClose
+    /// kRating: the rating. kClose: the cell's bounds — epoch_start in
+    /// rating.time, epoch_end in rating.value.
+    Rating rating;
+    /// kQuarantine: the dead letter, boxed — about 1% of arrivals carry
+    /// one, and held inline it would more than double every event.
+    std::unique_ptr<QuarantinedRating> dead;
+    std::uint64_t seq = 0;  ///< kQuarantine: dead-letter ordinal; kClose: cell
     /// kRating: causal ID — the global submission ordinal of the submit()
     /// that admitted this rating into routing (its own ordinal for
     /// in-order arrivals; the releasing submission's for reordered ones).
     std::uint64_t causal = 0;
+    Type type = Type::kRating;
   };
+  static_assert(sizeof(ShardEvent) <= 64, "a ring event is one cache line");
 
   /// One shard's contribution to one epoch cell (threaded mode). The
   /// sentinel (cell == kStopCell) acknowledges kStop; kPoisonCell is the
@@ -403,7 +412,10 @@ class ShardedRatingSystem {
     // coordinator remains its single writer.
     std::uint64_t watch_heartbeat = 0;  ///< heartbeat at the last counted tick
     std::atomic<std::uint64_t> stall_age{0};  ///< ticks the current event ran
-    std::vector<ShardEvent> staged;     ///< coordinator batch for try_push_n
+    /// Coordinator-owned span of routed events not yet published to the
+    /// inbox (at most kDrainBatch). Staged events are not in events_pushed,
+    /// so the watchdog never ages them.
+    std::vector<ShardEvent> staged;
 
     // Observability (resolved in set_observability; null when off): the
     // labeled series of each family, e.g.
@@ -422,7 +434,7 @@ class ShardedRatingSystem {
   void route(const Rating& rating);
   void fast_forward_empty_epochs(double now);
   /// Issues the close of the cell ending at `epoch_end` (inline: runs it;
-  /// threaded: enqueues kClose on every shard).
+  /// threaded: stages kClose on every shard and publishes every span).
   void issue_close(double epoch_end);
   /// Analyzes one shard's pending slice for a cell and reduces it into the
   /// result's evidence run; updates retained and skipped-cell accounting.
@@ -441,11 +453,18 @@ class ShardedRatingSystem {
   /// push/pop returns), then joins. Never throws, never hangs — see the
   /// protocol proof sketch in DESIGN.md §15.
   void stop_threads();
-  void enqueue(std::size_t k, ShardEvent&& event);
-  /// Buffers a rating event for `k`; flush_staged() pushes each shard's
-  /// run with one try_push_n span (satellite: batched ring transfers).
+  /// Appends an event to shard k's staged span and publishes the span
+  /// once it holds kDrainBatch events: one try_push_n, one index handoff.
   void stage_event(std::size_t k, ShardEvent&& event);
-  void flush_staged();
+  /// Publishes shard k's staged span, blocking (supervised) on a full ring.
+  /// Const for the same reason as the watchdog state: quiesce() (const)
+  /// must publish, and the threading contract pins every caller to the
+  /// submit thread.
+  void publish(std::size_t k) const;
+  /// Publishes every shard's staged span: before a close, and in flush(),
+  /// quiesce() and stop_threads(), so nothing staged is ever unseen by a
+  /// query or lost at teardown (DESIGN.md §14).
+  void publish_all() const;
   void add_dead_letter(Shard& shard, QuarantinedRating&& entry,
                        std::uint64_t seq);
   void update_gauges();

@@ -92,6 +92,21 @@ double beta_continued_fraction(double x, double a, double b) {
   return h;
 }
 
+// I_x(a, b) for x strictly inside (0, 1), given the log-gamma terms and
+// log(x), log(1 - x): beta_quantile computes those once per call and once
+// per Newton step instead of once per CDF evaluation. The expressions keep
+// the order of the plain formula, so results are bitwise identical.
+double regularized_beta_inner(double x, double a, double b, double lg_ab,
+                              double lg_a, double lg_b, double log_x,
+                              double log_1mx) {
+  const double log_front = lg_ab - lg_a - lg_b + a * log_x + b * log_1mx;
+  const double front = std::exp(log_front);
+  if (x < (a + 1.0) / (a + b + 2.0)) {
+    return front * beta_continued_fraction(x, a, b) / a;
+  }
+  return 1.0 - front * beta_continued_fraction(1.0 - x, b, a) / b;
+}
+
 }  // namespace
 
 double log_gamma(double x) {
@@ -126,13 +141,8 @@ double regularized_beta(double x, double a, double b) {
   TRUSTRATE_EXPECTS(x >= 0.0 && x <= 1.0, "regularized_beta requires x in [0,1]");
   if (x == 0.0) return 0.0;
   if (x == 1.0) return 1.0;
-  const double log_front = log_gamma(a + b) - log_gamma(a) - log_gamma(b) +
-                           a * std::log(x) + b * std::log(1.0 - x);
-  const double front = std::exp(log_front);
-  if (x < (a + 1.0) / (a + b + 2.0)) {
-    return front * beta_continued_fraction(x, a, b) / a;
-  }
-  return 1.0 - front * beta_continued_fraction(1.0 - x, b, a) / b;
+  return regularized_beta_inner(x, a, b, log_gamma(a + b), log_gamma(a),
+                                log_gamma(b), std::log(x), std::log(1.0 - x));
 }
 
 double beta_cdf(double x, double a, double b) {
@@ -146,11 +156,22 @@ double beta_quantile(double p, double a, double b) {
   TRUSTRATE_EXPECTS(a > 0.0 && b > 0.0, "beta_quantile requires a, b > 0");
   if (p == 0.0) return 0.0;
   if (p == 1.0) return 1.0;
+  const double lg_ab = log_gamma(a + b);
+  const double lg_a = log_gamma(a);
+  const double lg_b = log_gamma(b);
   double lo = 0.0;
   double hi = 1.0;
   double x = a / (a + b);  // start at the mean
+  // An infinite a or b makes the mean NaN; the CDF's range check rejects it.
+  if (std::isnan(x)) return regularized_beta(x, a, b);
   for (int i = 0; i < 200; ++i) {
-    const double c = beta_cdf(x, a, b);
+    const double log_x = std::log(x);
+    const double log_1mx = std::log(1.0 - x);
+    // beta_cdf(x, a, b), with this step's logs.
+    const double c = x <= 0.0   ? 0.0
+                     : x >= 1.0 ? 1.0
+                                : regularized_beta_inner(x, a, b, lg_ab, lg_a,
+                                                         lg_b, log_x, log_1mx);
     if (std::fabs(c - p) < 1e-12) break;
     if (c < p) {
       lo = x;
@@ -159,8 +180,8 @@ double beta_quantile(double p, double a, double b) {
     }
     // Newton step using the beta pdf, falling back to bisection when it
     // leaves the bracket.
-    const double log_pdf = (a - 1.0) * std::log(x) + (b - 1.0) * std::log(1.0 - x) +
-                           log_gamma(a + b) - log_gamma(a) - log_gamma(b);
+    const double log_pdf =
+        (a - 1.0) * log_x + (b - 1.0) * log_1mx + lg_ab - lg_a - lg_b;
     const double pdf = std::exp(log_pdf);
     double next = (pdf > 0.0) ? x - (c - p) / pdf : 0.5 * (lo + hi);
     if (!(next > lo && next < hi)) next = 0.5 * (lo + hi);

@@ -29,6 +29,7 @@
 #include "core/shard/sharded_system.hpp"
 #include "core/shard/spsc_queue.hpp"
 #include "core/streaming.hpp"
+#include "testkit/threadfault.hpp"
 
 namespace trustrate {
 namespace {
@@ -344,6 +345,178 @@ TEST(ShardedEngine, ThreadedTinyQueuesBackpressureStillExact) {
   for (const Rating& r : stream) threaded.submit(r);
   threaded.flush();
   EXPECT_EQ(v3_bytes(threaded), v3_bytes(inline_system));
+}
+
+// ---------------------------------------------------------------------------
+// Span publication: the threaded submitter stages each shard's events and
+// publishes them 32 at a time; closes, flush(), every query and teardown
+// publish whatever is staged.
+
+/// Events published to the shards' inboxes so far.
+std::uint64_t published(const ShardedRatingSystem& system) {
+  std::uint64_t n = 0;
+  for (const obs::ShardProbe& s : system.probe().shards) n += s.events_pushed;
+  return n;
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+bool same_dead_letters(const std::vector<core::QuarantinedRating>& a,
+                       const std::vector<core::QuarantinedRating>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].rating != b[i].rating || a[i].reason != b[i].reason ||
+        a[i].detail != b[i].detail) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(ShardedPublication, EveryQuerySeesUnpublishedSpans) {
+  const RatingSeries stream = mixed_stream();
+  ShardedRatingSystem inline_system(pipeline_config(), make_options(3), 10.0,
+                                    2, mixed_ingest());
+  ShardedRatingSystem threaded(pipeline_config(), make_options(3, true), 10.0,
+                               2, mixed_ingest());
+  std::size_t queries = 0;
+  std::size_t queries_that_published = 0;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    inline_system.submit(stream[i]);
+    threaded.submit(stream[i]);
+    // A query every 7 submits, far fewer than a span: each one finds the
+    // threaded system with routed events still staged.
+    if (i % 7 != 3) continue;
+    const Rating& r = stream[i];
+    const std::uint64_t before = published(threaded);
+    switch (queries++ % 6) {
+      case 0:
+        EXPECT_TRUE(same_bits(threaded.trust(r.rater),
+                              inline_system.trust(r.rater)))
+            << "trust of rater " << r.rater << " at submit " << i;
+        break;
+      case 1: {
+        const std::optional<double> got = threaded.aggregate(r.product);
+        const std::optional<double> want = inline_system.aggregate(r.product);
+        ASSERT_EQ(got.has_value(), want.has_value()) << "submit " << i;
+        if (got) {
+          EXPECT_TRUE(same_bits(*got, *want)) << "submit " << i;
+        }
+        break;
+      }
+      case 2:
+        EXPECT_TRUE(same_dead_letters(threaded.quarantine(),
+                                      inline_system.quarantine()))
+            << "submit " << i;
+        break;
+      case 3:
+        for (std::size_t k = 0; k < 3; ++k) {
+          EXPECT_TRUE(same_dead_letters(threaded.shard_quarantine(k),
+                                        inline_system.shard_quarantine(k)))
+              << "shard " << k << " at submit " << i;
+        }
+        break;
+      case 4:
+        EXPECT_EQ(threaded.epochs_closed(), inline_system.epochs_closed())
+            << "submit " << i;
+        break;
+      case 5:
+        EXPECT_EQ(v4_bytes(threaded), v4_bytes(inline_system))
+            << "submit " << i;
+        break;
+    }
+    if (published(threaded) > before) ++queries_that_published;
+  }
+  // The queries above really did find staged events to publish.
+  EXPECT_GT(queries_that_published, queries / 2);
+  threaded.flush();
+  inline_system.flush();
+  EXPECT_EQ(v4_bytes(threaded), v4_bytes(inline_system));
+}
+
+TEST(ShardedPublication, CloseHandsEveryStagedSpanToTheWorkers) {
+  ShardOptions options = modulo_layout(3);
+  options.threaded = true;
+  ShardedRatingSystem system(pipeline_config(), options, 10.0, 2, {});
+  // Sorted, at lateness 0: each rating is routed at once. Ten ratings in
+  // the first epoch leave every shard's span part-filled.
+  for (int i = 0; i < 10; ++i) {
+    system.submit({0.5 * (i + 1), 0.5, static_cast<RaterId>(i),
+                   static_cast<ProductId>(i % 5), RatingLabel::kHonest});
+  }
+  EXPECT_EQ(published(system), 0u);
+  // The first rating of the next epoch closes the first: its close goes
+  // out behind every staged rating, with no query to publish them, so the
+  // workers can analyze the cell while the submitter carries on.
+  system.submit({12.0, 0.5, 10, 0, RatingLabel::kHonest});
+  EXPECT_EQ(published(system), 10u + 3u);
+  system.flush();
+  EXPECT_EQ(system.epochs_closed(), 2u);
+}
+
+TEST(ShardedPublication, DestroyMidSpanDeliversEveryStagedEvent) {
+  for (const std::size_t capacity : {std::size_t{2}, std::size_t{4096}}) {
+    SCOPED_TRACE("queue capacity " + std::to_string(capacity));
+    std::vector<std::atomic<std::uint64_t>> events(3);
+    ShardOptions options = modulo_layout(3);
+    options.threaded = true;
+    options.queue_capacity = capacity;
+    options.event_hook = [&events](const core::shard::ShardEventContext& ctx) {
+      events[ctx.shard].fetch_add(1, std::memory_order_relaxed);
+    };
+    std::vector<std::uint64_t> expected(3, 1);  // each shard's stop event
+    {
+      // Sorted and inside one epoch at lateness 0: each rating is routed
+      // at once and nothing closes, so every event is a rating or a dead
+      // letter, and 40 of them leave a part-filled span on every shard.
+      ShardedRatingSystem system(pipeline_config(), options, 30.0, 2, {});
+      for (int i = 0; i < 40; ++i) {
+        const auto product = static_cast<ProductId>(i % 5);
+        const double value = i % 9 == 4 ? 3.0 : 0.5;  // some malformed
+        system.submit({0.25 * (i + 1), value, static_cast<RaterId>(i),
+                       product, RatingLabel::kHonest});
+        ++expected[product % 3];
+      }
+    }  // destroyed with spans staged: must neither hang nor drop them
+    for (std::size_t k = 0; k < 3; ++k) {
+      EXPECT_EQ(events[k].load(), expected[k]) << "shard " << k;
+    }
+  }
+}
+
+TEST(ShardedPublication, StallInsideUnpublishedSpanClassifiedByFlush) {
+  testkit::ThreadFaultPlan plan;
+  plan.shard = 0;
+  plan.at_ordinal = 3;
+  plan.kind = testkit::ThreadFaultKind::kStall;
+  plan.slices = 60000;  // minutes if un-aborted: the watchdog must cut in
+  testkit::ThreadFaultInjector injector(plan);
+  ShardOptions options = modulo_layout(2);
+  options.threaded = true;
+  // 20 ms: far above any real event here, far below the stall.
+  options.supervision.stall_ticks = 200;
+  options.event_hook = injector.hook();
+  {
+    ShardedRatingSystem system(pipeline_config(), options, 30.0, 2, {});
+    // Ten ratings for even products, all staged for shard 0: none is
+    // published, so the worker cannot have reached ordinal 3.
+    for (int i = 0; i < 10; ++i) {
+      system.submit({0.5 * (i + 1), 0.5, static_cast<RaterId>(i),
+                     static_cast<ProductId>(2 * (i % 3)),
+                     RatingLabel::kHonest});
+    }
+    EXPECT_FALSE(injector.fired());
+    EXPECT_FALSE(system.failed());
+    try {
+      system.flush();
+      ADD_FAILURE() << "flush() returned with shard 0 stalled";
+    } catch (const ShardFailure& failure) {
+      EXPECT_EQ(failure.kind(), ShardFailureKind::kStalled);
+      EXPECT_EQ(failure.shard(), 0u);
+    }
+  }
+  EXPECT_TRUE(injector.fired());
+  EXPECT_TRUE(injector.aborted());
 }
 
 // ---------------------------------------------------------------------------
